@@ -1,14 +1,31 @@
-"""Reliable FIFO site-to-site transport.
+"""Reliable FIFO site-to-site transport: one protocol, two I/O shells.
 
 The multicast protocols of [Birman-a] assume that sites communicate over
 channels that deliver messages reliably and in FIFO order despite packet
 loss (§2.1: "Our system tolerates message loss").  This module provides
 that substrate: a sliding-window, cumulative-ack, retransmit-on-timeout
-protocol over the lossy :class:`~repro.net.lan.Lan`, with fragmentation
-of messages larger than the 4 KB MTU.
+protocol over a fair-loss link, with fragmentation of messages larger
+than the MTU.
 
-Each frame charges CPU on the sending and receiving sites, which is how
-the Figure 2 utilization and throughput numbers arise.
+:class:`ReliableChannel` is the protocol, written once and free of I/O:
+per-destination send windows with backlog and promise resolution, an
+oldest-frame retransmission probe with exponential backoff, delayed,
+urgent and piggybacked cumulative ACKs, reassembly, and epoch (peer
+restart) handling.  Clock, timers and trace come from the driver's
+:class:`~repro.runtime.driver.Scheduler`.  A driver shell supplies only:
+
+* ``_wire(frame)`` — put a frame on the wire now; and
+  ``_charge_send(frame, fn, *args)`` — run ``fn`` once ``frame``'s send
+  cost is paid (``frame=None``: once already-queued sends have left);
+* ``_charge_recv(frame, process)`` — pay an inbound frame's cost, then
+  ``process(frame)``;
+* ``max_rto`` — the retransmission backoff ceiling.
+
+:class:`Transport` is the simulator shell: each frame charges the site's
+:class:`~repro.sim.cpu.Cpu` on the sending and receiving sites, which is
+how the Figure 2 utilization and throughput numbers arise, and travels
+through the modeled :class:`~repro.net.lan.Lan`.  The UDP shell is
+:class:`repro.net.udp.UdpTransport`.
 
 Epochs: a restarting site gets a new incarnation number; frames from a
 previous incarnation are discarded, and receiver-side channel state is
@@ -18,11 +35,11 @@ reset when a higher epoch is seen, so a recovered site starts clean.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Tuple
 
 from ..errors import SiteDown
 from ..msg.fields import modular_newer
-from ..sim.core import Simulator, Timer
+from ..sim.core import Simulator
 from ..sim.cpu import Cpu
 from ..sim.tasks import Promise
 from .lan import Lan
@@ -39,7 +56,7 @@ class _SendChannel:
         self.next_seq = 0
         self.unacked: "OrderedDict[int, Frame]" = OrderedDict()
         self.backlog: Deque[Frame] = deque()
-        self.retx_timer: Optional[Timer] = None
+        self.retx_timer: Optional[Any] = None
         #: msg_id -> (last_seq, promise) resolved when last frame acked.
         self.msg_done: Dict[int, Tuple[int, Promise]] = {}
         #: Current retransmission timeout (exponential backoff on loss,
@@ -61,32 +78,34 @@ class _RecvChannel:
         self.out_of_order: Dict[int, Frame] = {}
 
 
-class Transport:
-    """One site's attachment to the LAN: reliable ordered byte messages.
+class ReliableChannel:
+    """One site's reliable ordered byte messages to its peers (no I/O).
 
     Parameters
     ----------
+    sim:
+        The driver's scheduler (``now``, ``call_after``, ``trace``).
+    config:
+        Supplies ``mtu``, ``window`` and the base ``rto``.
     on_message:
         ``on_message(src_site, data)`` invoked, in FIFO-per-source order,
-        once a complete message has been reassembled and its receive CPU
-        cost paid.
+        once a complete message has been reassembled.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        lan: Lan,
-        site_id: int,
-        epoch: int,
-        cpu: Cpu,
-        on_message: Callable[[int, bytes], None],
-    ):
+    #: Delayed-ACK window; ``0`` acknowledges every delivered batch.
+    ack_delay = 0.0
+    #: Retransmission backoff ceiling (seconds); set by the shell.
+    max_rto: float
+
+    def __init__(self, sim: Any, site_id: int, epoch: int, config: Any,
+                 on_message: Callable[[int, bytes], None]):
         self.sim = sim
-        self.lan = lan
         self.site_id = site_id
         self.epoch = epoch
-        self.cpu = cpu
+        self.config = config
         self.on_message = on_message
+        #: Optional handler for unreliable datagrams (heartbeats).
+        self.on_raw: Optional[Callable[[int, bytes], None]] = None
         self._send_channels: Dict[int, _SendChannel] = {}
         self._recv_channels: Dict[int, _RecvChannel] = {}
         self._reassembler = Reassembler()
@@ -94,7 +113,7 @@ class Transport:
         self._alive = True
         #: Delayed cumulative ACKs: dst site -> highest ack owed.
         self._ack_pending: Dict[int, int] = {}
-        self._ack_timers: Dict[int, Timer] = {}
+        self._ack_timers: Dict[int, Any] = {}
         #: Per-endpoint wire counters (the global trace counters cannot
         #: attribute frames to a site; benchmarks and kernel stats can).
         self.msgs_sent = 0
@@ -105,10 +124,29 @@ class Transport:
         self.retransmits = 0
         self.acks_pure = 0          # stand-alone ACK frames sent
         self.acks_coalesced = 0     # data frames whose ACK merged into one
-        self.acks_piggybacked = 0   # ACKs that rode a reverse data frame
-        #: Optional handler for unreliable datagrams (heartbeats).
-        self.on_raw: Optional[Callable[[int, bytes], None]] = None
-        lan.attach(site_id, self._on_frame)
+        self.acks_piggybacked = 0   # ACKs that rode reverse data
+
+    # ------------------------------------------------------------------
+    # Shell hooks
+    # ------------------------------------------------------------------
+    def _wire(self, frame: Frame) -> bool:
+        """Put ``frame`` on the wire now.  True if it shares a datagram
+        with frames already queued (an ACK riding data for free)."""
+        raise NotImplementedError
+
+    def _charge_send(self, frame: Optional[Frame], fn: Callable,
+                     *args: Any) -> None:
+        """Run ``fn(*args)`` once ``frame``'s send cost has been paid."""
+        raise NotImplementedError
+
+    def _charge_recv(self, frame: Frame,
+                     process: Callable[[Frame], None]) -> None:
+        """Pay for an inbound ACK or data frame, then ``process`` it."""
+        raise NotImplementedError
+
+    def _detach(self) -> None:
+        """Stop receiving (crash or shutdown)."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Sending
@@ -130,11 +168,13 @@ class Transport:
             promise = Promise(label="send-on-dead-transport")
             promise.reject(SiteDown(f"site {self.site_id} is down"))
             return promise
-        channel = self._send_channels.setdefault(
-            dst_site, _SendChannel(self.lan.config.rto))
+        config = self.config
+        channel = self._send_channels.get(dst_site)
+        if channel is None:
+            channel = self._send_channels[dst_site] = _SendChannel(config.rto)
         msg_id = self._next_msg_id
         self._next_msg_id += 1
-        chunks = fragment(data, self.lan.config.mtu)
+        chunks = fragment(data, config.mtu)
         frames = []
         for index, chunk in enumerate(chunks):
             frames.append(
@@ -159,21 +199,39 @@ class Transport:
         self.msgs_sent += 1
         self.bytes_sent += len(data)
         for frame in frames:
-            if len(channel.unacked) < self.lan.config.window:
+            if len(channel.unacked) < config.window:
                 self._transmit(channel, frame)
             else:
                 channel.backlog.append(frame)
         return promise
 
+    def send_raw(self, dst_site: int, payload: bytes) -> None:
+        """Fire-and-forget datagram: no ordering, no retransmission.
+
+        Used for heartbeats, where a lost probe *should* look like
+        silence rather than be masked by the reliable channel.  Raw
+        frames bypass the send cost (the failure detector runs at
+        kernel priority): §3.7 requires that an *overloaded* site not be
+        mistaken for a dead one, so its probes must not queue behind its
+        application traffic.
+        """
+        if not self._alive:
+            return
+        self._wire(Frame(
+            kind=KIND_RAW,
+            src_site=self.site_id,
+            dst_site=dst_site,
+            epoch=self.epoch,
+            payload=payload,
+        ))
+
     def _transmit(self, channel: _SendChannel, frame: Frame) -> None:
         channel.unacked[frame.seq] = frame
-        cost = (self.lan.config.ack_cpu if frame.cheap
-                else self.lan.send_cpu_cost(frame))
         # The retransmission timer arms when the frame actually reaches
-        # the wire, not when it enters the CPU queue — otherwise a busy
+        # the wire, not when it enters the send queue — otherwise a busy
         # sender would "time out" frames it has not yet transmitted and
         # melt down in a retransmission storm.
-        self.cpu.submit(cost, self._put_on_wire, channel, frame)
+        self._charge_send(frame, self._put_on_wire, channel, frame)
 
     def _put_on_wire(self, channel: _SendChannel, frame: Frame) -> None:
         if not self._alive:
@@ -185,8 +243,7 @@ class Transport:
             self._cancel_ack_timer(frame.dst_site)
             self.acks_piggybacked += 1
             self.sim.trace.bump("transport.acks_piggybacked")
-        self.lan.send(frame)
-        self.frames_sent += 1
+        self._wire(frame)
         channel.wire_times.setdefault(frame.seq, self.sim.now)
         self._arm_retransmit(channel, frame.dst_site)
 
@@ -200,10 +257,10 @@ class Transport:
     def _retransmit(self, dst_site: int) -> None:
         """Probe with the *oldest transmitted* unacked frame only.
 
-        Frames still queued behind the CPU have not been lost — they have
-        not even been sent; retransmitting whole windows under load is
-        how congestion collapse happens.  A cumulative ack for the probe
-        confirms (or advances past) everything behind it.
+        Frames still queued behind the sender have not been lost — they
+        have not even been sent; retransmitting whole windows under load
+        is how congestion collapse happens.  A cumulative ack for the
+        probe confirms (or advances past) everything behind it.
         """
         channel = self._send_channels.get(dst_site)
         if channel is None:
@@ -214,8 +271,8 @@ class Transport:
         oldest_seq = next(iter(channel.unacked))
         sent_at = channel.wire_times.get(oldest_seq)
         if sent_at is None:
-            # Not on the wire yet: check again after the CPU drains it.
-            self.cpu.submit(0.0, self._arm_retransmit, channel, dst_site)
+            # Not on the wire yet: check again once it has left.
+            self._charge_send(None, self._arm_retransmit, channel, dst_site)
             return
         age = self.sim.now - sent_at
         if age < channel.rto * 0.9:
@@ -224,47 +281,28 @@ class Transport:
             return
         self.sim.trace.bump("transport.retransmits")
         self.retransmits += 1
-        self.frames_sent += 1
-        channel.rto = min(channel.rto * 2, 8 * self.lan.config.rto)
+        channel.rto = min(channel.rto * 2, self.max_rto)
         frame = channel.unacked[oldest_seq]
         channel.wire_times[oldest_seq] = self.sim.now
-        self.cpu.submit(self.lan.send_cpu_cost(frame), self.lan.send, frame)
+        # A retransmission is a point-to-point send: full cost, even for
+        # a copy that first rode a hardware broadcast.
+        frame.cheap = False
+        self._charge_send(frame, self._wire, frame)
         self._arm_retransmit(channel, dst_site)
 
     # ------------------------------------------------------------------
     # Receiving
     # ------------------------------------------------------------------
-    def send_raw(self, dst_site: int, payload: bytes) -> None:
-        """Fire-and-forget datagram: no ordering, no retransmission.
-
-        Used for heartbeats, where a lost probe *should* look like
-        silence rather than be masked by the reliable channel.  Raw
-        frames bypass the CPU work queue (the failure detector runs at
-        kernel priority): §3.7 requires that an *overloaded* site not be
-        mistaken for a dead one, so its probes must not queue behind its
-        application traffic.
-        """
-        if not self._alive:
-            return
-        frame = Frame(
-            kind=KIND_RAW,
-            src_site=self.site_id,
-            dst_site=dst_site,
-            epoch=self.epoch,
-            payload=payload,
-        )
-        self.lan.send(frame)
-
     def _on_frame(self, frame: Frame) -> None:
         if not self._alive:
             return
         self.frames_received += 1
-        if frame.kind == KIND_ACK:
-            self.cpu.submit(self.lan.config.ack_cpu, self._process_ack, frame)
-        elif frame.kind == KIND_RAW:
+        if frame.kind == KIND_RAW:
             self._process_raw(frame)  # kernel priority: see send_raw
+        elif frame.kind == KIND_ACK:
+            self._charge_recv(frame, self._process_ack)
         else:
-            self.cpu.submit(self.lan.recv_cpu_cost(frame), self._process_data, frame)
+            self._charge_recv(frame, self._process_data)
 
     def _process_raw(self, frame: Frame) -> None:
         if self.on_raw is not None:
@@ -276,7 +314,7 @@ class Transport:
             return
         progressed = any(s <= frame.ack for s in channel.unacked)
         if progressed:
-            channel.rto = self.lan.config.rto  # backoff resets on progress
+            channel.rto = self.config.rto  # backoff resets on progress
         for seq in [s for s in channel.unacked if s <= frame.ack]:
             del channel.unacked[seq]
             channel.wire_times.pop(seq, None)
@@ -285,7 +323,7 @@ class Transport:
         ]:
             _, promise = channel.msg_done.pop(msg_id)
             promise.resolve(None)
-        while channel.backlog and len(channel.unacked) < self.lan.config.window:
+        while channel.backlog and len(channel.unacked) < self.config.window:
             self._transmit(channel, channel.backlog.popleft())
         if channel.retx_timer is not None and not channel.unacked:
             channel.retx_timer.cancel()
@@ -352,15 +390,15 @@ class Transport:
                   urgent: bool = False) -> None:
         """Owe ``dst_site`` a cumulative ACK; send now or batch it.
 
-        With ``LanConfig.ack_delay == 0`` (default) every ACK goes out
-        immediately as its own frame — the original behavior.  With a
-        window, in-order ACKs coalesce: one timer per source, the owed
-        value monotonically maxed, flushed by the timer or absorbed by
-        the next reverse-direction data frame (see ``_put_on_wire``).
+        With ``ack_delay == 0`` (the default) every ACK goes out
+        immediately as its own frame.  With a window, in-order ACKs
+        coalesce: one timer per source, the owed value monotonically
+        maxed, flushed by the timer or absorbed by the next
+        reverse-direction data frame (see ``_put_on_wire``).
         """
         if not self._alive:
-            return  # a CPU-queued frame processed post-crash: stay silent
-        delay = self.lan.config.ack_delay
+            return  # a queued frame processed post-crash: stay silent
+        delay = self.ack_delay
         if delay <= 0:
             self._send_ack(dst_site, cumulative)
             return
@@ -401,8 +439,10 @@ class Transport:
             epoch=self.epoch,
             ack=cumulative,
         )
-        self.acks_pure += 1
-        self.lan.send(ack)
+        if self._wire(ack):
+            self.acks_piggybacked += 1
+        else:
+            self.acks_pure += 1
 
     # ------------------------------------------------------------------
     # Statistics
@@ -421,6 +461,15 @@ class Transport:
             "acks_piggybacked": self.acks_piggybacked,
         }
 
+    def outbound_idle(self) -> bool:
+        """True once every frame sent so far is acked and nothing queued.
+
+        Lets a departing site linger until its peers hold everything it
+        said — exiting with unacked frames kills their retransmit path.
+        """
+        return all(not ch.unacked and not ch.backlog
+                   for ch in self._send_channels.values())
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -431,15 +480,16 @@ class Transport:
             return
         if channel.retx_timer is not None:
             channel.retx_timer.cancel()
+            channel.retx_timer = None
         for _, promise in channel.msg_done.values():
             promise.reject(SiteDown(f"site {dst_site} declared down"))
 
     def shutdown(self) -> None:
-        """Crash: detach from the LAN, reject all pending sends."""
+        """Crash: stop receiving, cancel timers, reject pending sends."""
         if not self._alive:
             return
         self._alive = False
-        self.lan.detach(self.site_id)
+        self._detach()
         for dst_site in list(self._ack_timers):
             self._cancel_ack_timer(dst_site)
         self._ack_pending.clear()
@@ -449,3 +499,59 @@ class Transport:
     @property
     def alive(self) -> bool:
         return self._alive
+
+
+class Transport(ReliableChannel):
+    """The simulator shell: frames cost CPU and cross the modeled LAN.
+
+    Each data frame is charged to the site's :class:`Cpu` before it
+    reaches the wire, and each inbound ACK or data frame before it is
+    processed.  The backoff ceiling is ``8 × rto``.
+    """
+
+    def __init__(
+        self,
+        sim: Simulator,
+        lan: Lan,
+        site_id: int,
+        epoch: int,
+        cpu: Cpu,
+        on_message: Callable[[int, bytes], None],
+    ):
+        super().__init__(sim, site_id, epoch, lan.config, on_message)
+        self.lan = lan
+        self.cpu = cpu
+        lan.attach(site_id, self._on_frame)
+
+    @property
+    def ack_delay(self) -> float:  # type: ignore[override]
+        return self.config.ack_delay
+
+    @property
+    def max_rto(self) -> float:  # type: ignore[override]
+        return 8 * self.config.rto
+
+    def _wire(self, frame: Frame) -> bool:
+        self.lan.send(frame)
+        if frame.kind == KIND_DATA:
+            self.frames_sent += 1
+        return False
+
+    def _charge_send(self, frame: Optional[Frame], fn: Callable,
+                     *args: Any) -> None:
+        if frame is None:
+            cost = 0.0
+        elif frame.cheap:
+            cost = self.config.ack_cpu
+        else:
+            cost = self.lan.send_cpu_cost(frame)
+        self.cpu.submit(cost, fn, *args)
+
+    def _charge_recv(self, frame: Frame,
+                     process: Callable[[Frame], None]) -> None:
+        cost = (self.config.ack_cpu if frame.kind == KIND_ACK
+                else self.lan.recv_cpu_cost(frame))
+        self.cpu.submit(cost, process, frame)
+
+    def _detach(self) -> None:
+        self.lan.detach(self.site_id)

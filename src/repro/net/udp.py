@@ -30,26 +30,20 @@ import asyncio
 import random
 import socket
 import struct
-from collections import OrderedDict, deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..errors import NetworkError, SiteDown
-from ..msg.fields import modular_newer
 from ..sim.tasks import Promise
 from .packet import (
     DATAGRAM_HEADER_BYTES,
     FRAME_WIRE_HEADER_BYTES,
-    KIND_ACK,
-    KIND_DATA,
-    KIND_RAW,
     MAX_FRAMES_PER_DATAGRAM,
     Frame,
-    Reassembler,
     decode_datagram,
     encode_datagram,
-    fragment,
 )
+from .transport import ReliableChannel
 
 
 @dataclass
@@ -75,36 +69,12 @@ class UdpConfig:
     fault_seed: int = 0          # deterministic fault schedule
 
 
-class _SendChannel:
-    """Sender-side state for one destination site."""
+class UdpTransport(ReliableChannel):
+    """The UDP shell: one site's real-socket endpoint.
 
-    __slots__ = ("next_seq", "unacked", "backlog", "retx_timer", "msg_done",
-                 "rto", "sent_at")
-
-    def __init__(self, base_rto: float) -> None:
-        self.next_seq = 0
-        self.unacked: "OrderedDict[int, Frame]" = OrderedDict()
-        self.backlog: Deque[Frame] = deque()
-        self.retx_timer: Optional[Any] = None
-        self.msg_done: Dict[int, Tuple[int, Promise]] = {}
-        self.rto = base_rto
-        #: seq -> time the frame was last handed to the socket.
-        self.sent_at: Dict[int, float] = {}
-
-
-class _RecvChannel:
-    """Receiver-side state for one (source site, epoch)."""
-
-    __slots__ = ("epoch", "expected", "out_of_order")
-
-    def __init__(self, epoch: int) -> None:
-        self.epoch = epoch
-        self.expected = 0
-        self.out_of_order: Dict[int, Frame] = {}
-
-
-class UdpTransport:
-    """One site's real-socket endpoint: reliable ordered byte messages.
+    Frames queued to one destination within a loop tick leave as one
+    datagram bundle (after fault injection) via ``sendto``; inbound
+    frames are processed inline as their datagram is read.
 
     Parameters
     ----------
@@ -128,35 +98,16 @@ class UdpTransport:
         on_message: Callable[[int, bytes], None],
         config: Optional[UdpConfig] = None,
     ):
-        self.scheduler = scheduler
+        config = config or UdpConfig()
+        super().__init__(scheduler, site_id, epoch, config, on_message)
+        self.ack_delay = config.ack_delay
+        self.max_rto = config.max_rto
         self.loop: asyncio.AbstractEventLoop = scheduler.loop
-        self.site_id = site_id
-        self.epoch = epoch
-        self.config = config or UdpConfig()
-        self.on_message = on_message
-        self.on_raw: Optional[Callable[[int, bytes], None]] = None
         self._sock = sock
         self._peers = peers
-        self._send_channels: Dict[int, _SendChannel] = {}
-        self._recv_channels: Dict[int, _RecvChannel] = {}
-        self._reassembler = Reassembler()
-        self._next_msg_id = 0
-        self._alive = True
         #: Per-destination frames awaiting the end-of-tick bundle flush.
         self._out: Dict[int, List[Frame]] = {}
         self._flush_scheduled: Set[int] = set()
-        self._ack_pending: Dict[int, int] = {}
-        self._ack_timers: Dict[int, Any] = {}
-        # Wire counters (same keys as the sim transport, plus datagrams).
-        self.msgs_sent = 0
-        self.bytes_sent = 0
-        self.frames_sent = 0
-        self.frames_received = 0
-        self.msgs_received = 0
-        self.retransmits = 0
-        self.acks_pure = 0
-        self.acks_coalesced = 0
-        self.acks_piggybacked = 0
         self.datagrams_sent = 0
         self.datagrams_received = 0
         self.datagram_bytes_sent = 0
@@ -164,93 +115,48 @@ class UdpTransport:
         self.faults_lost = 0
         self.faults_duped = 0
         self.faults_reordered = 0
-        cfg = self.config
         self._fault_rng: Optional[random.Random] = None
-        if cfg.loss_rate > 0 or cfg.dup_rate > 0 or cfg.reorder > 0:
+        if config.loss_rate > 0 or config.dup_rate > 0 or config.reorder > 0:
             self._fault_rng = random.Random(
-                (cfg.fault_seed << 16) ^ (site_id * 2654435761))
+                (config.fault_seed << 16) ^ (site_id * 2654435761))
         self.loop.add_reader(self._sock.fileno(), self._on_readable)
 
-    # ------------------------------------------------------------------
-    # Sending
-    # ------------------------------------------------------------------
-    def send(self, dst_site: int, data: bytes,
-             piggyback: bool = False) -> Promise:
-        """Queue ``data`` for reliable FIFO delivery to ``dst_site``.
+    # -- shell hooks -----------------------------------------------------
+    def _wire(self, frame: Frame) -> bool:
+        """Queue a frame for the wire; bundle per destination per tick.
 
-        Returns a promise resolved when every fragment has been
-        acknowledged, rejected if the channel is torn down first.
-        ``piggyback`` is accepted for API parity with the simulator
-        transport (there is no hardware-broadcast fast path on real UDP).
+        ACK frames enter the same per-tick buffer as data frames, so
+        under bidirectional traffic they ride data datagrams for free.
         """
-        if not self._alive:
-            promise = Promise(label="send-on-dead-transport")
-            promise.reject(SiteDown(f"site {self.site_id} is down"))
-            return promise
-        channel = self._send_channels.setdefault(
-            dst_site, _SendChannel(self.config.rto))
-        msg_id = self._next_msg_id
-        self._next_msg_id += 1
-        chunks = fragment(data, self.config.mtu)
-        frames = []
-        for index, chunk in enumerate(chunks):
-            frames.append(
-                Frame(
-                    kind=KIND_DATA,
-                    src_site=self.site_id,
-                    dst_site=dst_site,
-                    epoch=self.epoch,
-                    seq=channel.next_seq,
-                    msg_id=msg_id,
-                    frag_index=index,
-                    frag_total=len(chunks),
-                    payload=chunk,
-                    cheap=piggyback,
-                )
-            )
-            channel.next_seq += 1
-        promise = Promise(label=f"send:{self.site_id}->{dst_site}:{msg_id}")
-        channel.msg_done[msg_id] = (frames[-1].seq, promise)
-        self.scheduler.trace.bump("transport.messages")
-        self.scheduler.trace.bump("transport.bytes", len(data))
-        self.msgs_sent += 1
-        self.bytes_sent += len(data)
-        for frame in frames:
-            if len(channel.unacked) < self.config.window:
-                self._transmit(channel, frame)
-            else:
-                channel.backlog.append(frame)
-        return promise
-
-    def send_raw(self, dst_site: int, payload: bytes) -> None:
-        """Fire-and-forget datagram (heartbeats): no seq, no retransmit."""
-        if not self._alive:
-            return
-        frame = Frame(
-            kind=KIND_RAW,
-            src_site=self.site_id,
-            dst_site=dst_site,
-            epoch=self.epoch,
-            payload=payload,
-        )
-        self._enqueue(dst_site, frame)
-
-    def _transmit(self, channel: _SendChannel, frame: Frame) -> None:
-        channel.unacked[frame.seq] = frame
-        channel.sent_at[frame.seq] = self.scheduler.now
-        self._enqueue(frame.dst_site, frame)
-        self._arm_retransmit(channel, frame.dst_site)
-
-    # -- datagram bundling ----------------------------------------------
-    def _enqueue(self, dst_site: int, frame: Frame) -> None:
-        """Queue a frame for the wire; bundle per destination per tick."""
-        self._out.setdefault(dst_site, []).append(frame)
+        dst_site = frame.dst_site
+        out = self._out.setdefault(dst_site, [])
+        bundled = bool(out) and self.config.coalesce
+        out.append(frame)
         if not self.config.coalesce:
             self._flush_dst(dst_site)
         elif dst_site not in self._flush_scheduled:
             self._flush_scheduled.add(dst_site)
             self.loop.call_soon(self._flush_dst, dst_site)
+        return bundled
 
+    def _charge_send(self, frame: Optional[Frame], fn: Callable,
+                     *args: Any) -> None:
+        fn(*args)
+
+    def _charge_recv(self, frame: Frame,
+                     process: Callable[[Frame], None]) -> None:
+        process(frame)
+
+    def _detach(self) -> None:
+        try:
+            self.loop.remove_reader(self._sock.fileno())
+        except (ValueError, OSError):
+            pass
+        self._sock.close()
+        self._out.clear()
+        self._flush_scheduled.clear()
+
+    # -- datagram bundling ----------------------------------------------
     def _flush_dst(self, dst_site: int) -> None:
         self._flush_scheduled.discard(dst_site)
         frames = self._out.pop(dst_site, None)
@@ -287,7 +193,7 @@ class UdpTransport:
                 # Held back while its successors go out: arrives late and
                 # out of order, exercising the receive-window reassembly.
                 self.faults_reordered += 1
-                self.scheduler.call_after(
+                self.sim.call_after(
                     self.config.reorder_delay,
                     self._raw_send, data, addr, len(frames))
                 return
@@ -311,39 +217,7 @@ class UdpTransport:
         self.datagram_bytes_sent += len(data)
         self.frames_sent += nframes
 
-    # -- retransmission --------------------------------------------------
-    def _arm_retransmit(self, channel: _SendChannel, dst_site: int) -> None:
-        if channel.retx_timer is not None or not channel.unacked:
-            return
-        channel.retx_timer = self.scheduler.call_after(
-            channel.rto, self._retransmit, dst_site)
-
-    def _retransmit(self, dst_site: int) -> None:
-        """Probe with the oldest unacked frame only (cumulative acks)."""
-        channel = self._send_channels.get(dst_site)
-        if channel is None:
-            return
-        channel.retx_timer = None
-        if not self._alive or not channel.unacked:
-            return
-        oldest_seq = next(iter(channel.unacked))
-        sent_at = channel.sent_at.get(oldest_seq, 0.0)
-        age = self.scheduler.now - sent_at
-        if age < channel.rto * 0.9:
-            channel.retx_timer = self.scheduler.call_after(
-                channel.rto - age, self._retransmit, dst_site)
-            return
-        self.scheduler.trace.bump("transport.retransmits")
-        self.retransmits += 1
-        channel.rto = min(channel.rto * 2, self.config.max_rto)
-        frame = channel.unacked[oldest_seq]
-        channel.sent_at[oldest_seq] = self.scheduler.now
-        self._enqueue(dst_site, frame)
-        self._arm_retransmit(channel, dst_site)
-
-    # ------------------------------------------------------------------
-    # Receiving
-    # ------------------------------------------------------------------
+    # -- receiving -------------------------------------------------------
     def _on_readable(self) -> None:
         while self._alive:
             try:
@@ -356,209 +230,32 @@ class UdpTransport:
             try:
                 frames = decode_datagram(data)
             except NetworkError:
-                self.scheduler.trace.bump("transport.bad_datagrams")
+                self.sim.trace.bump("transport.bad_datagrams")
                 continue
             for frame in frames:
                 self._on_frame(frame)
 
-    def _on_frame(self, frame: Frame) -> None:
-        if not self._alive:
-            return
-        self.frames_received += 1
-        if frame.kind == KIND_ACK:
-            self._process_ack(frame)
-        elif frame.kind == KIND_RAW:
-            if self.on_raw is not None:
-                self.on_raw(frame.src_site, frame.payload)
-        else:
-            self._process_data(frame)
-
-    def _process_ack(self, frame: Frame) -> None:
-        channel = self._send_channels.get(frame.src_site)
-        if channel is None:
-            return
-        progressed = any(s <= frame.ack for s in channel.unacked)
-        if progressed:
-            channel.rto = self.config.rto  # backoff resets on progress
-        for seq in [s for s in channel.unacked if s <= frame.ack]:
-            del channel.unacked[seq]
-            channel.sent_at.pop(seq, None)
-        for msg_id in [
-            m for m, (last_seq, _) in channel.msg_done.items()
-            if last_seq <= frame.ack
-        ]:
-            _, promise = channel.msg_done.pop(msg_id)
-            promise.resolve(None)
-        while channel.backlog and len(channel.unacked) < self.config.window:
-            self._transmit(channel, channel.backlog.popleft())
-        if channel.retx_timer is not None and not channel.unacked:
-            channel.retx_timer.cancel()
-            channel.retx_timer = None
-
-    def _process_data(self, frame: Frame) -> None:
-        channel = self._recv_channels.get(frame.src_site)
-        if channel is None or modular_newer(frame.epoch, channel.epoch):
-            # New incarnation of the source: reset channel state (same
-            # rules as the simulator transport — epochs wrap modulo 256
-            # with the incarnation byte, so newness is a modular window).
-            # A restart also invalidates our *send* channel to the site:
-            # epochs name the sender's incarnation only, so outbound seq
-            # numbering must restart or the fresh receiver buffers our
-            # high-seq frames as out-of-order forever.
-            if channel is not None:
-                self.scheduler.trace.bump("transport.peer_restarts")
-                self.reset_channel(frame.src_site)
-            channel = _RecvChannel(frame.epoch)
-            self._recv_channels[frame.src_site] = channel
-            self._reassembler.forget((frame.src_site,))
-            self._ack_pending.pop(frame.src_site, None)
-            self._cancel_ack_timer(frame.src_site)
-        elif frame.epoch != channel.epoch:
-            self.scheduler.trace.bump("transport.stale_epoch")
-            return
-        if frame.ack >= 0:
-            self._process_ack(frame)
-        if frame.seq < channel.expected:
-            self.scheduler.trace.bump("transport.duplicates")
-            self._note_ack(frame.src_site, channel.expected - 1, urgent=True)
-            return
-        channel.out_of_order.setdefault(frame.seq, frame)
-        delivered = False
-        while channel.expected in channel.out_of_order:
-            ready = channel.out_of_order.pop(channel.expected)
-            channel.expected += 1
-            delivered = True
-            whole = self._reassembler.add(
-                (frame.src_site, ready.msg_id),
-                ready.frag_index,
-                ready.frag_total,
-                ready.payload,
-            )
-            if whole is not None:
-                self.msgs_received += 1
-                self.on_message(frame.src_site, whole)
-        if delivered or frame.seq >= channel.expected:
-            self._note_ack(frame.src_site, channel.expected - 1,
-                           urgent=not delivered)
-
-    def _note_ack(self, dst_site: int, cumulative: int,
-                  urgent: bool = False) -> None:
-        if not self._alive:
-            return
-        delay = self.config.ack_delay
-        if delay <= 0 or urgent:
-            pending = self._ack_pending.pop(dst_site, None)
-            self._cancel_ack_timer(dst_site)
-            if pending is not None:
-                cumulative = max(cumulative, pending)
-            self._send_ack(dst_site, cumulative)
-            return
-        pending = self._ack_pending.get(dst_site)
-        if pending is not None:
-            self._ack_pending[dst_site] = max(pending, cumulative)
-            self.acks_coalesced += 1
-        else:
-            self._ack_pending[dst_site] = cumulative
-        if dst_site not in self._ack_timers:
-            self._ack_timers[dst_site] = self.scheduler.call_after(
-                delay, self._flush_ack, dst_site)
-
-    def _flush_ack(self, dst_site: int) -> None:
-        self._ack_timers.pop(dst_site, None)
-        cumulative = self._ack_pending.pop(dst_site, None)
-        if cumulative is not None and self._alive:
-            self._send_ack(dst_site, cumulative)
-
-    def _cancel_ack_timer(self, dst_site: int) -> None:
-        timer = self._ack_timers.pop(dst_site, None)
-        if timer is not None:
-            timer.cancel()
-
-    def _send_ack(self, dst_site: int, cumulative: int) -> None:
-        # ACK frames enter the same per-tick bundle as data frames, so
-        # under bidirectional traffic they ride data datagrams for free.
-        out = self._out.get(dst_site)
-        if out and self.config.coalesce:
-            self.acks_piggybacked += 1
-        else:
-            self.acks_pure += 1
-        frame = Frame(
-            kind=KIND_ACK,
-            src_site=self.site_id,
-            dst_site=dst_site,
-            epoch=self.epoch,
-            ack=cumulative,
-        )
-        self._enqueue(dst_site, frame)
-
-    # ------------------------------------------------------------------
-    # Statistics / lifecycle
-    # ------------------------------------------------------------------
+    # -- statistics / lifecycle -----------------------------------------
     def stats(self) -> Dict[str, int]:
         """Wire activity of this endpoint since boot."""
-        return {
-            "msgs_sent": self.msgs_sent,
-            "bytes_sent": self.bytes_sent,
-            "frames_sent": self.frames_sent,
-            "frames_received": self.frames_received,
-            "msgs_received": self.msgs_received,
-            "retransmits": self.retransmits,
-            "acks_pure": self.acks_pure,
-            "acks_coalesced": self.acks_coalesced,
-            "acks_piggybacked": self.acks_piggybacked,
-            "datagrams_sent": self.datagrams_sent,
-            "datagrams_received": self.datagrams_received,
-            "datagram_bytes_sent": self.datagram_bytes_sent,
-            "send_errors": self.send_errors,
-            "faults_lost": self.faults_lost,
-            "faults_duped": self.faults_duped,
-            "faults_reordered": self.faults_reordered,
-        }
+        stats = super().stats()
+        stats.update(
+            datagrams_sent=self.datagrams_sent,
+            datagrams_received=self.datagrams_received,
+            datagram_bytes_sent=self.datagram_bytes_sent,
+            send_errors=self.send_errors,
+            faults_lost=self.faults_lost,
+            faults_duped=self.faults_duped,
+            faults_reordered=self.faults_reordered,
+        )
+        return stats
 
     def outbound_idle(self) -> bool:
-        """True once every frame sent so far is acked and nothing queued.
-
-        Lets a departing site linger until its peers hold everything it
-        said — exiting with unacked frames kills their retransmit path.
-        """
-        if any(self._out.values()):
-            return False
-        return all(not ch.unacked and not ch.backlog
-                   for ch in self._send_channels.values())
+        return not any(self._out.values()) and super().outbound_idle()
 
     def reset_channel(self, dst_site: int) -> None:
-        """Abandon traffic to a (failed) site; reject its pending sends."""
         self._out.pop(dst_site, None)
-        channel = self._send_channels.pop(dst_site, None)
-        if channel is None:
-            return
-        if channel.retx_timer is not None:
-            channel.retx_timer.cancel()
-            channel.retx_timer = None
-        for _, promise in channel.msg_done.values():
-            promise.reject(SiteDown(f"site {dst_site} declared down"))
-
-    def shutdown(self) -> None:
-        """Detach from the socket, cancel timers, reject pending sends."""
-        if not self._alive:
-            return
-        self._alive = False
-        try:
-            self.loop.remove_reader(self._sock.fileno())
-        except (ValueError, OSError):
-            pass
-        self._sock.close()
-        for dst_site in list(self._ack_timers):
-            self._cancel_ack_timer(dst_site)
-        self._ack_pending.clear()
-        self._out.clear()
-        self._flush_scheduled.clear()
-        for dst_site in list(self._send_channels):
-            self.reset_channel(dst_site)
-
-    @property
-    def alive(self) -> bool:
-        return self._alive
+        super().reset_channel(dst_site)
 
 
 # ----------------------------------------------------------------------
