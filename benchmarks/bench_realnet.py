@@ -7,12 +7,11 @@ CBCAST and ABCAST (sequencer mode) workloads and reporting wall-clock
 delivered throughput per site plus the delivery-latency distribution
 (p50/p99 and a 33-point per-config CDF).
 
-It also measures the datagram-batching optimization the real driver
-exposes (syscall counts are invisible to the simulator): with
-``UdpConfig.coalesce`` on, frames queued to a destination within one
-event-loop tick are bundled into shared datagrams — fewer ``sendto``
-calls and fewer per-datagram header bytes for the same frame stream.
-The before/after pair runs the identical workload with bundling off.
+It also reports the datagram bundling the real driver does (syscall
+counts are invisible to the simulator): frames queued to a destination
+within one event-loop tick share datagrams, so ``frames_per_datagram``
+above 1 means fewer ``sendto`` calls and fewer per-datagram header
+bytes for the same frame stream.
 
 Run directly (``python benchmarks/bench_realnet.py``) to write
 ``BENCH_realnet.json``; ``REALNET_BENCH_SMOKE=1`` runs a single short
@@ -57,7 +56,7 @@ def _load_run_cluster():
     return module
 
 
-def run_config(workload: str, n_sites: int, coalesce: bool = True,
+def run_config(workload: str, n_sites: int,
                duration: float = DURATION) -> dict:
     """One cluster run; returns the launcher's aggregate summary."""
     module = _load_run_cluster()
@@ -65,7 +64,7 @@ def run_config(workload: str, n_sites: int, coalesce: bool = True,
         n_sites=n_sites, base_port=None, host="127.0.0.1", seed=0,
         workload=workload, duration=duration, payload_bytes=PAYLOAD,
         inflight=INFLIGHT, abcast_mode="sequencer",
-        no_coalesce=not coalesce, timeout=duration + 60.0, out=None)
+        timeout=duration + 60.0, out=None)
     summary = module.run_cluster(args)
     summary.pop("reports", None)
     return summary
@@ -76,7 +75,6 @@ def _metrics(summary: dict) -> dict:
     return {
         "n_sites": summary["n_sites"],
         "workload": summary["workload"],
-        "coalesce": summary["coalesce"],
         "ok": summary["ok"],
         "total_sent": summary["total_sent"],
         "delivered_per_site_per_sec": round(
@@ -106,30 +104,9 @@ def realnet_workload() -> dict:
         print(f"{workload} @ {n_sites} procs: "
               f"{metrics['delivered_per_site_per_sec']:.0f} "
               f"delivered/site/s, p50 {metrics['latency_p50_ms']:.1f} ms, "
-              f"p99 {metrics['latency_p99_ms']:.1f} ms, ok={metrics['ok']}")
-
-    # Datagram-batching before/after on the identical workload.
-    ablation_workload, ablation_sites = ("cbcast", 4)
-    off = _metrics(run_config(ablation_workload, ablation_sites,
-                              coalesce=False))
-    on = results.get(f"{ablation_workload}:{ablation_sites}p")
-    if on is None:
-        on = _metrics(run_config(ablation_workload, ablation_sites))
-    datagram_reduction = off["datagrams_sent"] / max(1, on["datagrams_sent"])
-    throughput_ratio = (on["delivered_per_site_per_sec"]
-                        / max(1e-9, off["delivered_per_site_per_sec"]))
-    ablation = {
-        "coalesce_on": on,
-        "coalesce_off": off,
-        "datagram_reduction": round(datagram_reduction, 2),
-        "throughput_ratio": round(throughput_ratio, 2),
-    }
-    print(f"datagram bundling: {off['datagrams_sent']} -> "
-          f"{on['datagrams_sent']} datagrams "
-          f"({datagram_reduction:.2f}x fewer syscalls), throughput "
-          f"x{throughput_ratio:.2f}, frames/datagram "
-          f"{off['frames_per_datagram']:.2f} -> "
-          f"{on['frames_per_datagram']:.2f}")
+              f"p99 {metrics['latency_p99_ms']:.1f} ms, "
+              f"{metrics['frames_per_datagram']:.2f} frames/datagram, "
+              f"ok={metrics['ok']}")
 
     payload = {
         "driver": "asyncio_udp",
@@ -140,7 +117,6 @@ def realnet_workload() -> dict:
             "abcast_mode": "sequencer",
         },
         "configs": results,
-        "coalesce_ablation": ablation,
     }
     if not SMOKE:
         with open(_RESULTS_PATH, "w") as fh:
@@ -156,11 +132,8 @@ def test_realnet_bench():
     for name, metrics in payload["configs"].items():
         assert metrics["ok"], f"{name} diverged or failed"
         assert metrics["delivered_per_site_per_sec"] > 0
-    ablation = payload["coalesce_ablation"]
-    assert ablation["coalesce_off"]["ok"]
-    # The measured win: bundling must cut datagrams (syscalls) for the
-    # same workload shape.
-    assert ablation["datagram_reduction"] > 1.1
+    # Bundling must cut datagrams (syscalls) below one per frame.
+    assert payload["configs"]["cbcast:4p"]["frames_per_datagram"] > 1.1
 
 
 if __name__ == "__main__":

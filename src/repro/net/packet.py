@@ -40,6 +40,12 @@ class Frame:
     #: Copy riding a hardware-broadcast transmission already charged to
     #: the sender (the [Babaoglu] optimization): token send cost only.
     cheap: bool = False
+    #: Receiver incarnation the frame is addressed to; ``-1`` when the
+    #: sender had not heard from the receiver as the channel opened.  An
+    #: ACK is addressed to the incarnation whose data it acknowledges.
+    dst_epoch: int = -1
+    #: ACK only: the acknowledged data frames were unaddressed.
+    blind: bool = False
 
     @property
     def wire_size(self) -> int:
@@ -48,7 +54,8 @@ class Frame:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.kind == KIND_ACK:
-            return f"<ACK {self.src_site}->{self.dst_site} ack={self.ack}>"
+            return (f"<ACK {self.src_site}->{self.dst_site} ack={self.ack} "
+                    f"epochs={self.epoch}->{self.dst_epoch}>")
         return (
             f"<DATA {self.src_site}->{self.dst_site} seq={self.seq} "
             f"msg={self.msg_id} frag={self.frag_index + 1}/{self.frag_total} "
@@ -67,10 +74,12 @@ class Frame:
 #
 # Header layout (network byte order):
 #   kind      u8   (0=data, 1=ack, 2=raw)
-#   flags     u8   (bit 0: cheap/piggyback copy)
+#   flags     u8   (bit 0: cheap/piggyback copy; bit 1: addressed;
+#                   bit 2: blind ACK)
 #   src_site  u16
 #   dst_site  u16
-#   epoch     u16  (sender incarnation)
+#   epoch     u16  (sender incarnation; when addressed, the low byte
+#                   and the receiver incarnation in the high byte)
 #   seq       u32
 #   ack       i32  (-1 = no ack piggybacked)
 #   msg_id    u32
@@ -79,6 +88,8 @@ class Frame:
 #   payload_len u32
 _FRAME_STRUCT = struct.Struct("!BBHHHIiIHHI")
 FRAME_WIRE_HEADER_BYTES = _FRAME_STRUCT.size
+
+_CHEAP, _ADDRESSED, _BLIND = 1, 2, 4
 
 _KIND_TO_CODE = {KIND_DATA: 0, KIND_ACK: 1, KIND_RAW: 2}
 _CODE_TO_KIND = {code: kind for kind, code in _KIND_TO_CODE.items()}
@@ -97,9 +108,17 @@ def encode_frame(frame: Frame) -> bytes:
     code = _KIND_TO_CODE.get(frame.kind)
     if code is None:
         raise NetworkError(f"unknown frame kind {frame.kind!r}")
-    flags = 1 if frame.cheap else 0
+    flags = _CHEAP if frame.cheap else 0
+    epoch = frame.epoch
+    if frame.dst_epoch >= 0:
+        if epoch > 0xFF or frame.dst_epoch > 0xFF:
+            raise NetworkError("addressed frames carry one-byte epochs")
+        flags |= _ADDRESSED
+        epoch |= frame.dst_epoch << 8
+    if frame.blind:
+        flags |= _BLIND
     header = _FRAME_STRUCT.pack(
-        code, flags, frame.src_site, frame.dst_site, frame.epoch,
+        code, flags, frame.src_site, frame.dst_site, epoch,
         frame.seq, frame.ack, frame.msg_id, frame.frag_index,
         frame.frag_total, len(frame.payload),
     )
@@ -119,10 +138,14 @@ def decode_frame(buf: bytes, offset: int = 0) -> Tuple[Frame, int]:
     if end + payload_len > len(buf):
         raise NetworkError("truncated frame payload")
     payload = bytes(buf[end:end + payload_len])
+    dst_epoch = -1
+    if flags & _ADDRESSED:
+        epoch, dst_epoch = epoch & 0xFF, epoch >> 8
     frame = Frame(
         kind=kind, src_site=src, dst_site=dst, epoch=epoch, seq=seq,
         ack=ack, msg_id=msg_id, frag_index=frag_index,
-        frag_total=frag_total, payload=payload, cheap=bool(flags & 1),
+        frag_total=frag_total, payload=payload, cheap=bool(flags & _CHEAP),
+        dst_epoch=dst_epoch, blind=bool(flags & _BLIND),
     )
     return frame, end + payload_len
 

@@ -27,9 +27,20 @@ how the Figure 2 utilization and throughput numbers arise, and travels
 through the modeled :class:`~repro.net.lan.Lan`.  The UDP shell is
 :class:`repro.net.udp.UdpTransport`.
 
-Epochs: a restarting site gets a new incarnation number; frames from a
-previous incarnation are discarded, and receiver-side channel state is
-reset when a higher epoch is seen, so a recovered site starts clean.
+Epochs: a restarting site gets a new incarnation number, and every
+frame names both ends' incarnations.  Its ``epoch`` is the sender's; a
+data frame's ``dst_epoch`` is the receiver incarnation its channel is
+addressed to (``-1`` for a *blind* channel, opened before the sender had
+heard from the receiver), and an ACK's is the incarnation whose data it
+acknowledges.  A newer epoch on *any* inbound frame — data, ACK or raw —
+means the peer restarted: both directions' channel state to it is
+dropped and pending sends to it are rejected.  Frames from an older
+incarnation, and frames addressed to one, are discarded; a data frame
+addressed to a previous incarnation is answered with an ACK carrying the
+current epoch, so the sender learns of the restart even if this site has
+nothing else to say to it.  Blind and addressed channels from the same
+sender incarnation never mix: once an addressed frame arrives, the blind
+stream is over.
 """
 
 from __future__ import annotations
@@ -49,10 +60,13 @@ from .packet import KIND_ACK, KIND_DATA, KIND_RAW, Frame, Reassembler, fragment
 class _SendChannel:
     """Sender-side state for one destination site."""
 
-    __slots__ = ("next_seq", "unacked", "backlog", "retx_timer", "msg_done",
-                 "rto", "wire_times")
+    __slots__ = ("peer_epoch", "next_seq", "unacked", "backlog", "retx_timer",
+                 "msg_done", "rto", "wire_times")
 
     def __init__(self, base_rto: float) -> None:
+        #: Receiver incarnation the channel is addressed to (-1: blind),
+        #: bound when its first frame leaves: nothing is in flight yet.
+        self.peer_epoch: Optional[int] = None
         self.next_seq = 0
         self.unacked: "OrderedDict[int, Frame]" = OrderedDict()
         self.backlog: Deque[Frame] = deque()
@@ -68,12 +82,13 @@ class _SendChannel:
 
 
 class _RecvChannel:
-    """Receiver-side state for one (source site, epoch)."""
+    """Receiver-side state for the current incarnation of one source."""
 
-    __slots__ = ("epoch", "expected", "out_of_order")
+    __slots__ = ("blind", "expected", "out_of_order")
 
-    def __init__(self, epoch: int) -> None:
-        self.epoch = epoch
+    def __init__(self, blind: bool) -> None:
+        #: The sender's frames are unaddressed (it had not heard from us).
+        self.blind = blind
         self.expected = 0
         self.out_of_order: Dict[int, Frame] = {}
 
@@ -108,6 +123,8 @@ class ReliableChannel:
         self.on_raw: Optional[Callable[[int, bytes], None]] = None
         self._send_channels: Dict[int, _SendChannel] = {}
         self._recv_channels: Dict[int, _RecvChannel] = {}
+        #: Newest incarnation heard from each peer, on any frame.
+        self._peer_epochs: Dict[int, int] = {}
         self._reassembler = Reassembler()
         self._next_msg_id = 0
         self._alive = True
@@ -234,18 +251,24 @@ class ReliableChannel:
         self._charge_send(frame, self._put_on_wire, channel, frame)
 
     def _put_on_wire(self, channel: _SendChannel, frame: Frame) -> None:
-        if not self._alive:
-            return
-        pending_ack = self._ack_pending.pop(frame.dst_site, None)
-        if pending_ack is not None:
-            # Reverse-direction data absorbs the delayed ACK entirely.
-            frame.ack = max(frame.ack, pending_ack)
-            self._cancel_ack_timer(frame.dst_site)
+        dst_site = frame.dst_site
+        if not self._alive or self._send_channels.get(dst_site) is not channel:
+            return  # crashed or reset while queued: the old seq must not leave
+        if channel.peer_epoch is None:
+            channel.peer_epoch = self._peer_epochs.get(dst_site, -1)
+        frame.dst_epoch = channel.peer_epoch
+        if frame.dst_epoch >= 0 and dst_site in self._ack_pending:
+            # Reverse-direction data absorbs the delayed ACK entirely.  A
+            # blind frame could reach another incarnation than the one
+            # the ACK is owed to, so only an addressed one carries it.
+            frame.ack = self._ack_pending.pop(dst_site)
+            frame.blind = self._recv_channels[dst_site].blind
+            self._cancel_ack_timer(dst_site)
             self.acks_piggybacked += 1
             self.sim.trace.bump("transport.acks_piggybacked")
         self._wire(frame)
         channel.wire_times.setdefault(frame.seq, self.sim.now)
-        self._arm_retransmit(channel, frame.dst_site)
+        self._arm_retransmit(channel, dst_site)
 
     def _arm_retransmit(self, channel: _SendChannel, dst_site: int) -> None:
         if channel.retx_timer is not None or not channel.unacked:
@@ -287,7 +310,7 @@ class ReliableChannel:
         # A retransmission is a point-to-point send: full cost, even for
         # a copy that first rode a hardware broadcast.
         frame.cheap = False
-        self._charge_send(frame, self._wire, frame)
+        self._charge_send(frame, self._put_on_wire, channel, frame)
         self._arm_retransmit(channel, dst_site)
 
     # ------------------------------------------------------------------
@@ -304,22 +327,62 @@ class ReliableChannel:
         else:
             self._charge_recv(frame, self._process_data)
 
+    def _admit(self, frame: Frame) -> bool:
+        """Epoch gate for every inbound frame; detects peer restarts.
+
+        Epochs wrap modulo 256 with the incarnation byte, so newness is
+        a modular half-window, not ``>``.
+        """
+        src = frame.src_site
+        known = self._peer_epochs.get(src)
+        if known == frame.epoch:
+            return True
+        if known is None or modular_newer(frame.epoch, known):
+            self._peer_epochs[src] = frame.epoch
+            if known is not None:
+                # The peer restarted.  Traffic to the dead incarnation is
+                # abandoned (the fresh one would drop it as misaddressed)
+                # and outbound numbering restarts with a new channel.
+                self.sim.trace.bump("transport.peer_restarts")
+                self.reset_channel(src)
+                self._drop_recv(src)
+            return True
+        self.sim.trace.bump("transport.stale_epoch")
+        return False
+
+    def _drop_recv(self, src: int) -> None:
+        """Forget a finished inbound stream, including any ACK still owed
+        to it — replaying that against a newer stream's send channel
+        would silently "acknowledge" frames we never received."""
+        self._recv_channels.pop(src, None)
+        self._reassembler.forget((src,))
+        self._ack_pending.pop(src, None)
+        self._cancel_ack_timer(src)
+
     def _process_raw(self, frame: Frame) -> None:
-        if self.on_raw is not None:
+        if self._admit(frame) and self.on_raw is not None:
             self.on_raw(frame.src_site, frame.payload)
 
     def _process_ack(self, frame: Frame) -> None:
+        if not self._admit(frame) or frame.dst_epoch != self.epoch:
+            return  # from, or owed to, another incarnation
+        self._apply_ack(frame)
+
+    def _apply_ack(self, frame: Frame) -> None:
+        """Apply an admitted ACK to the send channel it acknowledges."""
         channel = self._send_channels.get(frame.src_site)
-        if channel is None:
+        if channel is None or channel.peer_epoch != (
+                -1 if frame.blind else frame.epoch):
             return
-        progressed = any(s <= frame.ack for s in channel.unacked)
+        ack = frame.ack
+        progressed = any(s <= ack for s in channel.unacked)
         if progressed:
             channel.rto = self.config.rto  # backoff resets on progress
-        for seq in [s for s in channel.unacked if s <= frame.ack]:
+        for seq in [s for s in channel.unacked if s <= ack]:
             del channel.unacked[seq]
             channel.wire_times.pop(seq, None)
         for msg_id in [
-            m for m, (last_seq, _) in channel.msg_done.items() if last_seq <= frame.ack
+            m for m, (last_seq, _) in channel.msg_done.items() if last_seq <= ack
         ]:
             _, promise = channel.msg_done.pop(msg_id)
             promise.resolve(None)
@@ -330,41 +393,36 @@ class ReliableChannel:
             channel.retx_timer = None
 
     def _process_data(self, frame: Frame) -> None:
-        channel = self._recv_channels.get(frame.src_site)
-        if channel is None or modular_newer(frame.epoch, channel.epoch):
-            # New incarnation of the source: reset channel state,
-            # including any ACK still owed to the previous incarnation —
-            # replaying it against the new incarnation's send channel
-            # would silently "acknowledge" frames we never received.
-            # Epochs wrap modulo 256 with the incarnation byte, so
-            # newness is a modular half-window, not ``>``.
-            if channel is not None:
-                # The restart is otherwise invisible to our *send* side:
-                # frame epochs name the sender's incarnation only, so a
-                # surviving send channel keeps numbering frames where the
-                # dead incarnation left off, and the fresh receiver
-                # (expecting seq 0) buffers them as out-of-order forever.
-                # Restart outbound numbering along with inbound state.
-                self.sim.trace.bump("transport.peer_restarts")
-                self.reset_channel(frame.src_site)
-            channel = _RecvChannel(frame.epoch)
-            self._recv_channels[frame.src_site] = channel
-            self._reassembler.forget((frame.src_site,))
-            self._ack_pending.pop(frame.src_site, None)
-            self._cancel_ack_timer(frame.src_site)
-        elif frame.epoch != channel.epoch:
-            self.sim.trace.bump("transport.stale_epoch")
+        if not self._admit(frame):
+            return
+        src = frame.src_site
+        blind = frame.dst_epoch < 0
+        if not blind and frame.dst_epoch != self.epoch:
+            # Sent to a previous incarnation of this site: never deliver
+            # it.  The reply names our epoch, which the sender takes as
+            # the restart it had not noticed.
+            self.sim.trace.bump("transport.misaddressed")
+            self._send_ack(src, -1)
+            return
+        channel = self._recv_channels.get(src)
+        if channel is None or (channel.blind and not blind):
+            # A new stream: the source's first frame to this incarnation,
+            # or its first addressed channel after a blind one.
+            self._drop_recv(src)
+            channel = self._recv_channels[src] = _RecvChannel(blind)
+        elif blind and not channel.blind:
+            self.sim.trace.bump("transport.stale_channel")
             return
         if frame.ack >= 0:
             # A delayed ACK rode this reverse-direction data frame.
-            # Processed only after the epoch checks above: an ACK from a
-            # dead incarnation must not touch the live send channel.
-            self._process_ack(frame)
+            # Processed only after the checks above: an ACK owed to
+            # another incarnation must not touch the live send channel.
+            self._apply_ack(frame)
         if frame.seq < channel.expected:
             # A duplicate means the sender timed out: answer right away
             # (an ACK delayed here would only invite more retransmits).
             self.sim.trace.bump("transport.duplicates")
-            self._note_ack(frame.src_site, channel.expected - 1, urgent=True)
+            self._note_ack(src, channel.expected - 1, urgent=True)
             return
         channel.out_of_order.setdefault(frame.seq, frame)
         delivered = False
@@ -373,18 +431,17 @@ class ReliableChannel:
             channel.expected += 1
             delivered = True
             whole = self._reassembler.add(
-                (frame.src_site, ready.msg_id),
+                (src, ready.msg_id),
                 ready.frag_index,
                 ready.frag_total,
                 ready.payload,
             )
             if whole is not None:
                 self.msgs_received += 1
-                self.on_message(frame.src_site, whole)
+                self.on_message(src, whole)
         if delivered or frame.seq >= channel.expected:
             # Gaps (nothing delivered) signal loss: ACK those urgently.
-            self._note_ack(frame.src_site, channel.expected - 1,
-                           urgent=not delivered)
+            self._note_ack(src, channel.expected - 1, urgent=not delivered)
 
     def _note_ack(self, dst_site: int, cumulative: int,
                   urgent: bool = False) -> None:
@@ -432,12 +489,15 @@ class ReliableChannel:
             timer.cancel()
 
     def _send_ack(self, dst_site: int, cumulative: int) -> None:
+        channel = self._recv_channels.get(dst_site)
         ack = Frame(
             kind=KIND_ACK,
             src_site=self.site_id,
             dst_site=dst_site,
             epoch=self.epoch,
             ack=cumulative,
+            dst_epoch=self._peer_epochs[dst_site],
+            blind=channel is not None and channel.blind,
         )
         if self._wire(ack):
             self.acks_piggybacked += 1

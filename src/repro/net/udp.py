@@ -1,27 +1,30 @@
 """Real-socket transport for the asyncio driver.
 
-Two classes mirror the simulator's network substrate over real sockets:
+Two classes put the network substrate on real sockets:
 
-* :class:`UdpTransport` is the real-wire twin of
-  :class:`repro.net.transport.Transport`: the same sliding-window,
-  cumulative-ack, retransmit-on-timeout reliable FIFO protocol, the same
-  :mod:`repro.net.packet` fragmentation/reassembly and epoch handling —
-  but frames travel as UDP datagrams (binary codec in ``net/packet.py``)
-  instead of simulator events.  Raw frames (heartbeats) stay
-  fire-and-forget so a lost probe looks like silence.
+* :class:`UdpTransport` is the UDP shell of the one reliable channel,
+  :class:`repro.net.transport.ReliableChannel`; the simulator's
+  :class:`repro.net.transport.Transport` is the other shell.  The
+  protocol — sliding window, cumulative and delayed ACKs, retransmission
+  and backoff, fragmentation and reassembly, epochs — lives there once.
+  This shell only decides how frames reach the wire: frames queued to
+  one destination within a single event-loop tick are bundled into as
+  few datagrams as fit ``max_datagram`` (one ``sendto`` per bundle, with
+  ACKs riding data bundles for free), passed through the optional fault
+  injection, and decoded inline when their datagram is read.  Raw frames
+  (heartbeats) stay fire-and-forget so a lost probe looks like silence.
+
+  Every frame names both ends' incarnations: the sender's in ``epoch``,
+  and the receiver's in ``dst_epoch``, carried in the high byte of the
+  u16 epoch header field (incarnations are one byte), so the 28-byte
+  frame header does not grow.  A restarted site drops frames addressed
+  to its previous incarnation and answers with its new epoch; a newer
+  epoch on any inbound frame tells a site its peer restarted.
 
 * :class:`TcpBulk` plays the role of :class:`repro.net.bulk.BulkChannel`:
   large blobs (join-state snapshots and their streamed chunks) travel
   over asyncio TCP connections, each blob acknowledged by the receiver
   only after the site's bulk handler has consumed it.
-
-The syscall-batching optimization the real driver exposes: with
-``UdpConfig.coalesce`` (default on), frames queued to one destination
-within a single event-loop tick are bundled into as few datagrams as fit
-``max_datagram`` — one ``sendto`` per bundle instead of one per frame.
-ACKs enter the same per-tick buffer, so they piggyback on data bundles
-for free.  ``coalesce=False`` restores frame-per-datagram for the
-before/after measurement in ``benchmarks/bench_realnet.py``.
 """
 
 from __future__ import annotations
@@ -53,9 +56,6 @@ class UdpConfig:
     mtu: int = 1200              # payload bytes per fragment (fits one datagram)
     window: int = 64             # outstanding unacked frames per channel
     rto: float = 0.05            # initial retransmission timeout
-    max_rto: float = 2.0         # backoff ceiling
-    ack_delay: float = 0.0       # 0 = cumulative ACK per delivered batch
-    coalesce: bool = True        # bundle frames per destination per loop tick
     max_datagram: int = 1400     # bundle size ceiling (stay under typical MTU)
     # Packet fault injection (localhost loses nothing, so without these
     # the retransmit path only exercises under overload).  Each outgoing
@@ -67,6 +67,10 @@ class UdpConfig:
     reorder: float = 0.0         # hold it so later datagrams overtake it
     reorder_delay: float = 0.02  # how long a reordered datagram is held
     fault_seed: int = 0          # deterministic fault schedule
+
+
+#: Retransmission backoff ceiling on real sockets (seconds).
+MAX_RTO = 2.0
 
 
 class UdpTransport(ReliableChannel):
@@ -88,6 +92,8 @@ class UdpTransport(ReliableChannel):
         endpoints registered after construction are picked up.
     """
 
+    max_rto = MAX_RTO
+
     def __init__(
         self,
         scheduler: Any,
@@ -100,14 +106,11 @@ class UdpTransport(ReliableChannel):
     ):
         config = config or UdpConfig()
         super().__init__(scheduler, site_id, epoch, config, on_message)
-        self.ack_delay = config.ack_delay
-        self.max_rto = config.max_rto
         self.loop: asyncio.AbstractEventLoop = scheduler.loop
         self._sock = sock
         self._peers = peers
         #: Per-destination frames awaiting the end-of-tick bundle flush.
         self._out: Dict[int, List[Frame]] = {}
-        self._flush_scheduled: Set[int] = set()
         self.datagrams_sent = 0
         self.datagrams_received = 0
         self.datagram_bytes_sent = 0
@@ -129,15 +132,13 @@ class UdpTransport(ReliableChannel):
         under bidirectional traffic they ride data datagrams for free.
         """
         dst_site = frame.dst_site
-        out = self._out.setdefault(dst_site, [])
-        bundled = bool(out) and self.config.coalesce
-        out.append(frame)
-        if not self.config.coalesce:
-            self._flush_dst(dst_site)
-        elif dst_site not in self._flush_scheduled:
-            self._flush_scheduled.add(dst_site)
+        out = self._out.get(dst_site)
+        if out is None:
+            self._out[dst_site] = [frame]
             self.loop.call_soon(self._flush_dst, dst_site)
-        return bundled
+            return False
+        out.append(frame)
+        return True
 
     def _charge_send(self, frame: Optional[Frame], fn: Callable,
                      *args: Any) -> None:
@@ -154,11 +155,9 @@ class UdpTransport(ReliableChannel):
             pass
         self._sock.close()
         self._out.clear()
-        self._flush_scheduled.clear()
 
     # -- datagram bundling ----------------------------------------------
     def _flush_dst(self, dst_site: int) -> None:
-        self._flush_scheduled.discard(dst_site)
         frames = self._out.pop(dst_site, None)
         if not frames or not self._alive:
             return
@@ -251,7 +250,7 @@ class UdpTransport(ReliableChannel):
         return stats
 
     def outbound_idle(self) -> bool:
-        return not any(self._out.values()) and super().outbound_idle()
+        return not self._out and super().outbound_idle()
 
     def reset_channel(self, dst_site: int) -> None:
         self._out.pop(dst_site, None)

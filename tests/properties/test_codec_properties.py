@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from repro.msg import Address, Message
 from repro.msg.fields import decode_have_vector, encode_have_vector
 from repro.net.packet import (
+    FRAME_WIRE_HEADER_BYTES,
     KIND_ACK,
     KIND_DATA,
     KIND_RAW,
@@ -230,3 +231,28 @@ def _normalize(fields):
         return value
 
     return {k: norm(v) for k, v in fields.items()}
+
+
+addressed_frames = st.builds(
+    Frame,
+    kind=st.sampled_from([KIND_DATA, KIND_ACK]),
+    src_site=st.integers(0, 0xFFFF),
+    dst_site=st.integers(0, 0xFFFF),
+    epoch=st.integers(0, 0xFF),
+    seq=st.integers(0, 2**32 - 1),
+    ack=st.integers(-(2**31), 2**31 - 1),
+    payload=st.binary(max_size=64),
+    dst_epoch=st.integers(0, 0xFF),
+    blind=st.booleans(),
+)
+
+
+@given(addressed_frames)
+def test_addressed_frame_roundtrip_keeps_both_incarnations(frame):
+    """The receiver incarnation rides the high byte of the epoch field:
+    the header does not grow."""
+    buf = encode_frame(frame)
+    assert len(buf) == FRAME_WIRE_HEADER_BYTES + len(frame.payload)
+    decoded, _ = decode_frame(buf)
+    assert _same_frame(decoded, frame)
+    assert (decoded.dst_epoch, decoded.blind) == (frame.dst_epoch, frame.blind)

@@ -1,9 +1,14 @@
 """Unit and scenario tests for the LAN and reliable transport."""
 
+import asyncio
+import socket
+
 import pytest
 
 from repro.errors import SiteDown
-from repro.net import Frame, Lan, LanConfig, Transport
+from repro.net import KIND_DATA, Frame, Lan, LanConfig, Transport
+from repro.net.udp import UdpConfig, UdpTransport
+from repro.runtime.asyncio_driver import AsyncioScheduler
 from repro.sim import Cpu, Simulator
 
 
@@ -326,3 +331,204 @@ class TestDelayedAcks:
         assert transports[1]._ack_pending.get(0) == 2
         sim.run(until=10.0)
         assert not t0._send_channels[1].unacked
+
+
+def drop_first(lan, matches):
+    """Make ``lan`` lose the first frame for which ``matches`` holds."""
+    send = lan.send
+    dropped = []
+
+    def lossy_send(frame):
+        if not dropped and matches(frame):
+            dropped.append(frame)
+            return
+        send(frame)
+
+    lan.send = lossy_send
+
+
+class TestResetAndRestart:
+    def test_reset_discards_frames_not_yet_on_the_wire(self):
+        sim = Simulator()
+        _, transports, inboxes = make_pair(sim)
+        sender = transports[0]
+        queued = [sender.send(1, b"q%d" % i) for i in range(5)]
+        sender.reset_channel(1)  # same instant: all five still on the CPU
+        fresh = [sender.send(1, b"n%d" % i) for i in range(5)]
+        sim.run()
+        assert all(isinstance(p.exception, SiteDown) for p in queued)
+        # The old seqs 0..4 never left, so the new ones are not mistaken
+        # for duplicates and acknowledged without being delivered.
+        assert inboxes[1] == [(0, b"n%d" % i) for i in range(5)]
+        assert all(p.done and not p.rejected for p in fresh)
+
+    def test_retransmit_never_reaches_the_restarted_peer(self):
+        sim = Simulator()
+        lan, transports, inboxes = make_pair(sim)
+        sender, peer = transports[0], transports[1]
+        peer.send(0, b"hello")  # the sender hears from incarnation 0
+        sim.run()
+        drop_first(lan, lambda f: f.kind == KIND_DATA and f.src_site == 0
+                   and f.seq == 3)
+        old = [sender.send(1, b"m%d" % i) for i in range(5)]
+        sim.run(until=sim.now + 0.2)
+        assert inboxes[1] == [(0, b"m0"), (0, b"m1"), (0, b"m2")]
+        peer.shutdown()
+        got = []
+        fresh_peer = Transport(sim, lan, 1, epoch=1, cpu=Cpu(sim, "cpu1b"),
+                               on_message=lambda src, data: got.append(data))
+        # The sender's RTO retransmits m3, addressed to incarnation 0.
+        sim.run(until=sim.now + 1.0)
+        fresh_peer.send(0, b"back")
+        sim.run(until=sim.now + 0.5)
+        new = [sender.send(1, b"a%d" % i) for i in range(5)]
+        sim.run(until=sim.now + 10.0)
+        assert got == [b"a%d" % i for i in range(5)]
+        assert all(p.done and not p.rejected for p in new)
+        assert all(isinstance(p.exception, SiteDown) for p in old[3:])
+        assert sim.trace.value("transport.misaddressed") >= 1
+
+    def test_restart_detected_from_a_heartbeat(self):
+        """The old peer only ever sent ACKs; its successor only a raw
+        heartbeat.  Either frame names the incarnation."""
+        sim = Simulator()
+        lan, transports, inboxes = make_pair(sim)
+        sender = transports[0]
+        for i in range(5):
+            sender.send(1, b"m%d" % i)
+        sim.run()
+        assert len(inboxes[1]) == 5
+        transports[1].shutdown()
+        got = []
+        fresh_peer = Transport(sim, lan, 1, epoch=1, cpu=Cpu(sim, "cpu1b"),
+                               on_message=lambda src, data: got.append(data))
+        fresh_peer.send_raw(0, b"heartbeat")
+        sim.run(until=sim.now + 0.1)
+        new = [sender.send(1, b"n%d" % i) for i in range(3)]
+        sim.run(until=sim.now + 5.0)
+        assert got == [b"n0", b"n1", b"n2"]
+        assert all(p.done and not p.rejected for p in new)
+        assert sim.trace.value("transport.peer_restarts") == 1
+
+    def test_restart_detected_from_the_misaddressed_reply(self):
+        sim = Simulator()
+        lan, transports, inboxes = make_pair(sim)
+        sender = transports[0]
+        for i in range(5):
+            sender.send(1, b"m%d" % i)
+        sim.run()
+        transports[1].shutdown()
+        got = []
+        Transport(sim, lan, 1, epoch=1, cpu=Cpu(sim, "cpu1b"),
+                  on_message=lambda src, data: got.append(data))
+        # Sent to the dead incarnation: rejected, never delivered.
+        stale = sender.send(1, b"n0")
+        sim.run(until=sim.now + 1.0)
+        assert isinstance(stale.exception, SiteDown)
+        fresh = sender.send(1, b"n1")
+        sim.run(until=sim.now + 1.0)
+        assert got == [b"n1"]
+        assert fresh.done and not fresh.rejected
+
+    def test_blind_channel_serves_the_incarnation_that_answers(self):
+        """At boot a sender may send before hearing from the peer.  If
+        the first incarnation dies before any of its ACKs arrive, the
+        channel carries on with its successor from seq 0."""
+        sim = Simulator()
+        lan, transports, inboxes = make_pair(sim)
+        send = lan.send
+        lan.send = lambda f: None if f.src_site == 1 else send(f)
+        sent = [transports[0].send(1, b"m%d" % i) for i in range(3)]
+        sim.run(until=0.2)
+        assert [d for _, d in inboxes[1]] == [b"m0", b"m1", b"m2"]
+        transports[1].shutdown()
+        lan.send = send
+        got = []
+        Transport(sim, lan, 1, epoch=1, cpu=Cpu(sim, "cpu1b"),
+                  on_message=lambda src, data: got.append(data))
+        sim.run(until=30.0)
+        assert got == [b"m0", b"m1", b"m2"]
+        assert all(p.done and not p.rejected for p in sent)
+
+
+def _sockets_available():
+    try:
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as sock:
+            sock.bind(("127.0.0.1", 0))
+        return True
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _sockets_available(),
+                    reason="localhost sockets unavailable")
+class TestUdpShell:
+    """The UDP shell over a localhost socket pair."""
+
+    @pytest.fixture
+    def udp_pair(self):
+        loop = asyncio.new_event_loop()
+        scheduler = AsyncioScheduler(loop)
+        peers, inboxes, transports = {}, {0: [], 1: []}, {}
+
+        def build(config):
+            for site in (0, 1):
+                sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+                sock.setblocking(False)
+                sock.bind(("127.0.0.1", 0))
+                peers[site] = sock.getsockname()
+                transports[site] = UdpTransport(
+                    scheduler, site, 0, sock, peers,
+                    lambda src, data, site=site: inboxes[site].append(data),
+                    config)
+            return transports, inboxes
+
+        def run_until(predicate, timeout=5.0):
+            async def wait():
+                deadline = loop.time() + timeout
+                while not predicate() and loop.time() < deadline:
+                    await asyncio.sleep(0.005)
+                return predicate()
+            return loop.run_until_complete(wait())
+
+        yield build, run_until
+        for transport in transports.values():
+            transport.shutdown()
+        loop.run_until_complete(asyncio.sleep(0))
+        loop.close()
+
+    def test_frames_in_one_tick_share_datagrams(self, udp_pair):
+        build, run_until = udp_pair
+        transports, inboxes = build(UdpConfig())
+        sender = transports[0]
+        for i in range(20):
+            sender.send(1, b"m%d" % i)
+        assert not sender.outbound_idle()
+        assert run_until(lambda: len(inboxes[1]) == 20 and sender.outbound_idle())
+        assert inboxes[1] == [b"m%d" % i for i in range(20)]
+        stats = sender.stats()
+        assert stats["frames_sent"] > stats["datagrams_sent"]
+
+    def test_duplicated_datagrams_deliver_once(self, udp_pair):
+        build, run_until = udp_pair
+        transports, inboxes = build(UdpConfig(dup_rate=0.5, fault_seed=3))
+        expected = [b"d%d" % i for i in range(30)]
+        for data in expected:
+            transports[0].send(1, data)
+            transports[1].send(0, data)
+        assert run_until(lambda: transports[0].outbound_idle()
+                         and transports[1].outbound_idle())
+        assert inboxes[1] == expected and inboxes[0] == expected
+        assert transports[0].stats()["faults_duped"] > 0
+
+    def test_reset_discards_the_unsent_bundle(self, udp_pair):
+        build, run_until = udp_pair
+        transports, inboxes = build(UdpConfig())
+        sender = transports[0]
+        queued = [sender.send(1, b"q%d" % i) for i in range(5)]
+        sender.reset_channel(1)
+        for i in range(5):
+            sender.send(1, b"n%d" % i)
+        assert run_until(sender.outbound_idle)
+        assert all(p.rejected for p in queued)
+        assert inboxes[1] == [b"n%d" % i for i in range(5)]
