@@ -14,7 +14,8 @@ policy: ABCASTs committed by each component *during* the partition,
 views installed, and whether the cluster reconverges after heal.  The
 quorum policy must keep the majority committing (availability retained)
 while wedging the minority; on the even split it must wedge *both*
-sides where the primary-partition rule historically split-brains.
+sides, where the primary-partition rule lets the half holding the
+previous view's oldest member go on.
 
 Results go to ``BENCH_ordering.json``.  Run under pytest-benchmark::
 

@@ -12,9 +12,7 @@ from .rpc import ALL, Session, SessionTable
 from .store import MessageStore
 from .vectorclock import (
     VectorClock,
-    decode_context,
     decode_context_compact,
-    encode_context,
     encode_context_compact,
 )
 from .view import View
@@ -28,8 +26,6 @@ __all__ = [
     "GroupEngine",
     "View",
     "VectorClock",
-    "encode_context",
-    "decode_context",
     "encode_context_compact",
     "decode_context_compact",
     "MessageStore",

@@ -5,27 +5,24 @@ holds the per-group receiver state: the delivered vector and the queue of
 messages waiting for causal predecessors.  The surrounding engine feeds
 it received CBCASTs and drains whatever became deliverable.
 
-Two drain engines share this class:
+The drain is dependency-indexed: pending messages are keyed by
+``(sender, seq)``.  Delivering seq *k* of a sender wakes exactly
+``(sender, k+1)``; a message whose cross-group causal context is
+unsatisfied registers one precise wait threshold in the kernel's
+:class:`~repro.core.shards.WaitIndex` and is woken only when that
+threshold is crossed.  Each arrival or wake costs O(1) amortized,
+independent of pending depth.
 
-* **Indexed** (``IsisConfig.indexed_delivery``, the default): pending
-  messages are keyed by ``(sender, seq)``.  Delivering seq *k* of a
-  sender wakes exactly ``(sender, k+1)``; a message whose cross-group
-  causal context is unsatisfied registers one precise wait threshold in
-  the kernel's :class:`~repro.core.kernel.WaitIndex` and is woken only
-  when that threshold is crossed.  Each arrival or wake costs O(1)
-  amortized, independent of pending depth.
-* **Legacy scan** (``indexed_delivery=False``): every drain re-scans the
-  whole pending buffer until a pass makes no progress — O(pending²) per
-  arrival.  Kept for differential testing; both engines produce
-  byte-identical delivery trajectories.
-
-The indexed drain evaluates *candidates* — pending messages whose
-blocking condition may have cleared — in arrival order, which is exactly
-the order the legacy scan discovers deliverable messages in.  The
-completeness invariant is that every deliverable pending message is a
-candidate: new arrivals are candidates, a FIFO-blocked message is woken
-by its predecessor's delivery, and a context-blocked message always
-holds a WaitIndex registration on the first threshold its context fails.
+The drain evaluates *candidates* — pending messages whose blocking
+condition may have cleared — in arrival order, so a message that
+becomes deliverable together with an older arrival never overtakes it
+and a seeded run always delivers in the same order.  The completeness
+invariant is that every deliverable pending message is a candidate:
+new arrivals are candidates, a FIFO-blocked message is woken by its
+predecessor's delivery, and a context-blocked message always holds a
+WaitIndex registration on the first threshold its context fails.
+Causal order itself is checked against a happens-before history of
+whole runs by the property suites, not against a second engine.
 """
 
 from __future__ import annotations
@@ -35,12 +32,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..msg.address import Address
 from ..msg.message import Message
-from .vectorclock import (
-    Context,
-    VectorClock,
-    decode_context,
-    decode_context_compact,
-)
+from .vectorclock import Context, VectorClock, decode_context_compact
 
 #: A pending CBCAST is identified by (sender process, per-view seq).
 PendingKey = Tuple[Address, int]
@@ -49,64 +41,51 @@ PendingKey = Tuple[Address, int]
 class CausalReceiver:
     """Receiver-side causal ordering for one group at one kernel.
 
-    Compact (bytes-form) ``cb_ctx`` fields are delta-chained per sender:
-    message *n* encodes only what changed since message *n-1*.  Because
-    the FIFO rule already forces delivery in contiguous ``cb_seq`` order,
-    the predecessor's absolute context is always known when a message
+    ``cb_ctx`` fields are delta-chained per sender: message *n* encodes
+    only what changed since message *n-1*.  Because the FIFO rule
+    already forces delivery in contiguous ``cb_seq`` order, the
+    predecessor's absolute context is always known when a message
     becomes a delivery candidate; reconstructed contexts are cached per
     (sender, seq) so re-evaluating a blocked message never re-decodes.
 
-    ``ctx_check(context, key)`` (indexed mode) must behave like
-    ``is_deliverable_ctx`` but, on failure, register ``key`` against the
-    first unsatisfied threshold so a later advance re-marks the message
-    as a candidate (see ``ProtocolsProcess.check_context_and_register``).
+    ``ctx_check(context, key)`` decides whether a cross-group causal
+    context is satisfied at this kernel and, on failure, registers
+    ``key`` against the first unsatisfied threshold so a later advance
+    re-marks the message as a candidate (see
+    ``ProtocolsProcess.check_context_and_register``).
     ``on_advance(sender, seq)`` tells the kernel this group's delivered
     vector advanced, waking cross-group waiters.
     """
 
-    __slots__ = ("delivered", "_pending", "_is_deliverable_ctx",
-                 "_ctx_chain", "_ctx_cache", "_indexed", "_ctx_check",
-                 "_on_advance", "_arrival", "_next_arrival", "_ready",
-                 "_ready_set", "peak_pending")
+    __slots__ = ("delivered", "_pending", "_ctx_chain", "_ctx_cache",
+                 "_ctx_check", "_on_advance", "_arrival", "_next_arrival",
+                 "_ready", "_ready_set", "_frozen", "peak_pending")
 
-    def __init__(self, is_deliverable_ctx: Callable[[Context], bool],
-                 indexed: bool = False,
-                 ctx_check: Optional[Callable[[Context, PendingKey], bool]] = None,
+    def __init__(self, ctx_check: Callable[[Context, PendingKey], bool],
                  on_advance: Optional[Callable[[Address, int], None]] = None):
         #: Delivered CBCAST count per sending member (resets per view).
         self.delivered = VectorClock()
-        #: Callback asking the kernel whether a cross-group causal context
-        #: is satisfied (the kernel checks the *other* groups we belong to).
-        self._is_deliverable_ctx = is_deliverable_ctx
-        self._indexed = indexed
         self._ctx_check = ctx_check
         self._on_advance = on_advance
-        if indexed:
-            assert ctx_check is not None
-            #: (sender, seq) -> pending message.
-            self._pending: Dict[PendingKey, Message] = {}
-            #: (sender, seq) -> arrival index (drain evaluates in this order).
-            self._arrival: Dict[PendingKey, int] = {}
-            self._next_arrival = 0
-            #: Min-heap of (arrival, key): candidates awaiting evaluation.
-            self._ready: List[Tuple[int, PendingKey]] = []
-            self._ready_set: Set[PendingKey] = set()
-        else:
-            self._pending: List[Message] = []  # type: ignore[no-redef]
+        #: (sender, seq) -> pending message.
+        self._pending: Dict[PendingKey, Message] = {}
+        #: (sender, seq) -> arrival index (drain evaluates in this order).
+        self._arrival: Dict[PendingKey, int] = {}
+        self._next_arrival = 0
+        #: Min-heap of (arrival, key): candidates awaiting evaluation.
+        self._ready: List[Tuple[int, PendingKey]] = []
+        self._ready_set: Set[PendingKey] = set()
         #: Per-sender absolute context after their last delivered message.
         self._ctx_chain: Dict[Address, Context] = {}
         #: (sender, seq) -> reconstructed context awaiting delivery.
         self._ctx_cache: Dict[PendingKey, Context] = {}
+        #: A flush commit fixed this view's message set (see drain_cut).
+        self._frozen = False
         #: High-water mark of the pending buffer (kernel stats).
         self.peak_pending = 0
 
     def offer(self, msg: Message) -> List[Message]:
         """Feed one received CBCAST; return messages now deliverable, in order."""
-        if not self._indexed:
-            self._pending.append(msg)
-            if len(self._pending) > self.peak_pending:
-                self.peak_pending = len(self._pending)
-            return self._drain()
         key = (msg["cb_sender"].process(), msg["cb_seq"])
         if key in self._pending:
             return []
@@ -116,12 +95,10 @@ class CausalReceiver:
         if len(self._pending) > self.peak_pending:
             self.peak_pending = len(self._pending)
         self.mark_candidate(key)
-        return self._drain_indexed()
+        return self._drain()
 
     def recheck(self) -> List[Message]:
-        """Re-evaluate pending messages (e.g. after another group advanced)."""
-        if self._indexed:
-            return self._drain_indexed()
+        """Drain the candidates woken since the last drain."""
         return self._drain()
 
     def mark_candidate(self, key: PendingKey) -> bool:
@@ -137,8 +114,7 @@ class CausalReceiver:
         heapq.heappush(self._ready, (self._arrival[key], key))
         return True
 
-    # -- indexed drain -------------------------------------------------------
-    def _drain_indexed(self) -> List[Message]:
+    def _drain(self) -> List[Message]:
         out: List[Message] = []
         while self._ready:
             _, key = heapq.heappop(self._ready)
@@ -155,6 +131,7 @@ class CausalReceiver:
                 # Blocked on a cross-group threshold; ctx_check registered
                 # the precise wait, whose crossing re-marks the candidate.
                 continue
+            # _deliver, inlined: one call fewer per CBCAST delivery.
             del self._pending[key]
             del self._arrival[key]
             self.delivered.set(sender, seq)
@@ -167,40 +144,96 @@ class CausalReceiver:
                 self._on_advance(sender, seq)
         return out
 
-    # -- legacy scan drain ---------------------------------------------------
-    def _drain(self) -> List[Message]:
+    def _deliver(self, key: PendingKey, msg: Message,
+                 out: List[Message]) -> None:
+        sender, seq = key
+        del self._pending[key]
+        del self._arrival[key]
+        self.delivered.set(sender, seq)
+        self._advance_chain(msg)
+        out.append(msg)
+        successor = (sender, seq + 1)
+        if successor in self._pending:
+            self.mark_candidate(successor)
+        if self._on_advance is not None:
+            self._on_advance(sender, seq)
+
+    # -- flush cut -----------------------------------------------------------
+    @property
+    def frozen(self) -> bool:
+        """Has a flush commit begun draining this view's cut?"""
+        return self._frozen
+
+    def cut_deficit(self, vc: VectorClock) -> Optional[Tuple[Address, int]]:
+        """First threshold ``(member, seq)`` of ``vc`` a frozen cut still
+        waits for: a threshold past a lost message names the first pending
+        message before it, or is met if none is pending."""
+        for member, value in vc.items():
+            if self.delivered.get(member) < value:
+                low = self._lowest_pending(member)
+                if low is not None and low <= value:
+                    return member, low
+        return None
+
+    def drain_cut(self, gid: Address,
+                  others_ok: Callable[[Context, PendingKey], bool]
+                  ) -> List[Message]:
+        """Deliver the leftovers the frozen cut allows, in causal order.
+
+        A leftover goes once no pending message precedes it: no earlier
+        pending seq of its sender, none of the pending messages its
+        context covers in this group (``gid``), and ``others_ok`` — the
+        kernel's check of the other groups, which registers a wait on
+        failure.  Candidates are tried in arrival order.  Leftovers that
+        wait on another group stay pending; the caller holds the commit
+        until they are woken.
+
+        Draining freezes the receiver: every old-view message of the cut
+        is here by now, so one that is neither delivered nor pending was
+        lost with a failed sender and will never arrive; from now on only
+        pending messages can still be awaited (see :meth:`cut_deficit`).
+        """
+        self._frozen = True
         out: List[Message] = []
         progress = True
-        while progress:
+        while progress and self._pending:
             progress = False
-            for i, msg in enumerate(self._pending):
-                if self._deliverable(msg):
-                    self._pending.pop(i)
-                    self.delivered.set(msg["cb_sender"], msg["cb_seq"])
-                    self._advance_chain(msg)
-                    out.append(msg)
-                    progress = True
-                    break
+            for key in sorted(self._pending, key=self._arrival.__getitem__):
+                sender, seq = key
+                if self._lowest_pending(sender) != seq:
+                    continue
+                msg = self._pending[key]
+                context = self._context_of(msg, sender, seq)
+                own = context.get(gid)
+                if own is not None and self.cut_deficit(own[1]) is not None:
+                    continue
+                others = {g: entry for g, entry in context.items()
+                          if g != gid}
+                if not others_ok(others, key):
+                    continue
+                self._deliver(key, msg, out)
+                progress = True
+                break
         return out
 
-    def _deliverable(self, msg: Message) -> bool:
-        sender: Address = msg["cb_sender"]
-        seq: int = msg["cb_seq"]
-        if seq != self.delivered.get(sender) + 1:
-            return False
-        return self._is_deliverable_ctx(self._context_of(msg, sender, seq))
+    def _lowest_pending(self, member: Address) -> Optional[int]:
+        member = member.process()
+        return min((seq for sender, seq in self._pending if sender == member),
+                   default=None)
 
     def _context_of(self, msg: Message, sender: Address, seq: int) -> Context:
         raw = msg.get("cb_ctx")
         if raw is None:
             return {}
-        if not isinstance(raw, (bytes, bytearray)):
-            return decode_context(raw)  # legacy dict encoding
         key = (sender.process(), seq)
         context = self._ctx_cache.get(key)
         if context is None:
-            context = decode_context_compact(
-                bytes(raw), self._ctx_chain.get(key[0]))
+            base = self._ctx_chain.get(key[0])
+            if base is None and self._frozen:
+                # The sender's earlier messages were lost at the cut: the
+                # delta decodes to a lower bound of its true context.
+                base = {}
+            context = decode_context_compact(bytes(raw), base)
             self._ctx_cache[key] = context
         return context
 
@@ -226,21 +259,14 @@ class CausalReceiver:
         self._pending.clear()
         self._ctx_chain.clear()
         self._ctx_cache.clear()
-        if self._indexed:
-            self._arrival.clear()
-            self._ready.clear()
-            self._ready_set.clear()
+        self._arrival.clear()
+        self._ready.clear()
+        self._ready_set.clear()
+        self._frozen = False
 
     @property
     def pending_count(self) -> int:
         return len(self._pending)
-
-    def pending_messages(self) -> List[Message]:
-        """Undelivered messages in arrival order (flush leftovers)."""
-        if not self._indexed:
-            return list(self._pending)
-        return [self._pending[key] for key in
-                sorted(self._pending, key=self._arrival.__getitem__)]
 
     def cache_sizes(self) -> Tuple[int, int]:
         """(ctx chain entries, ctx cache entries) — bounded-growth stats."""

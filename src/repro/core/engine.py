@@ -12,8 +12,7 @@ multicast data path through the layered
   messages when ``IsisConfig.batch_window > 0``; local members receive
   deliveries through the kernel's intra-site hop;
 * **ordering** — causal (vector clocks) and total (two-phase priority
-  or sequencer-stamp) delivery queues; with
-  ``IsisConfig.indexed_delivery`` both are dependency-indexed — a
+  or sequencer-stamp) delivery queues, both dependency-indexed — a
   delivery wakes exactly the messages it unblocks (FIFO successors and
   kernel WaitIndex threshold waiters) instead of re-scanning buffers;
 * **stability** — every message is buffered until known everywhere, so a
@@ -119,6 +118,10 @@ class GroupEngine:
         self._begin_base: Optional[Dict[int, int]] = None
         #: (target view, coordinator site) we last pushed a pre-report to.
         self._pre_reported: Optional[Tuple[int, int]] = None
+        #: A commit whose causal leftovers still wait on another group's
+        #: old-view traffic, and the group messages that arrived behind it.
+        self.held_commit: Optional[Message] = None
+        self._held: List[Tuple[int, Message]] = []
         # Flush coordinator state.
         self._reasons: List[FlushReason] = []
         self._active: Optional[FlushCoordinator] = None
@@ -250,6 +253,9 @@ class GroupEngine:
     # Receive dispatch
     # ------------------------------------------------------------------
     def handle(self, src_site: int, msg: Message) -> None:
+        if self.held_commit is not None:
+            self._held.append((src_site, msg))
+            return
         proto = msg["_proto"]
         if proto in DeliveryPipeline.WIRE_PROTOS:
             self.pipeline.receive(src_site, proto, msg)
@@ -399,9 +405,19 @@ class GroupEngine:
 
     def maybe_start_flush(self) -> None:
         if (self._active is not None or not self._reasons
-                or not self.installed or self.view is None):
+                or not self.installed or self.view is None
+                or self.held_commit is not None):
             return
         if not self.is_coordinator_site():
+            return
+        # A joiner whose site incarnation a site view removed can never
+        # be welcomed; admitting it would install a member nobody will
+        # ever remove.  Its site restarts (if at all) as a new incarnation.
+        self._reasons = [
+            r for r in self._reasons
+            if not (r.kind == "join" and r.joiner is not None
+                    and self.kernel.has_departed(r.joiner))]
+        if not self._reasons:
             return
         if not self.kernel.membership_may_commit():
             # Quorum membership: a minority component must not commit
@@ -867,14 +883,26 @@ class GroupEngine:
         if new_view.view_id <= self.view.view_id:
             return  # duplicate commit
         old_view = self.view
-        # 1. Deliver the remaining causal messages of the old view.
+        # 1. Deliver the remaining causal messages of the old view, in
+        # causal order.  One may still wait on another group's old-view
+        # traffic; then the commit, and all group traffic behind it, is
+        # held until that group catches up or freezes its own cut.
         for ready in self.causal.recheck():
             self.deliver_env(ready)
-        for leftover in self.causal.pending_messages():
-            # Cross-group context gaps are overridden at the cut (see
-            # DESIGN.md): the set, not the interleaving, is what view
-            # synchrony fixes.
+        was_frozen = self.causal.frozen
+        gid = self.gid.process()
+        for leftover in self.causal.drain_cut(
+                gid, lambda ctx, key: self.kernel.check_context_and_register(
+                    ctx, (gid, key))):
             self.deliver_env(leftover)
+        if self.causal.pending_count:
+            self.held_commit = msg
+            self.sim.trace.bump("flush.commits_held")
+            if not was_frozen:
+                # Waits on our old view may be met by the frozen cut.
+                self.kernel.note_group_view_event(self.gid)
+            self.kernel.recheck_causal(exclude=self.gid)
+            return
         # 2. Deliver the agreed ABCAST cut.
         for ready in self.total.force_order(msg["ab_order"]):
             self.deliver_env(ready)
@@ -918,8 +946,18 @@ class GroupEngine:
         # 6. The view install can satisfy cross-group causal waits
         # elsewhere (per-view vectors reset, so old-view thresholds are
         # void): drain them now rather than at the next unrelated
-        # arrival.  Runs identically under both delivery engines.
+        # arrival.
         self.kernel.recheck_causal(exclude=self.gid)
+
+    def resume_held_commit(self) -> None:
+        """Another group advanced: retry the held commit, then replay the
+        group traffic that queued behind it."""
+        msg, self.held_commit = self.held_commit, None
+        self._on_flush_commit(msg)
+        while self.held_commit is None and self._held:
+            self.handle(*self._held.pop(0))
+        if self.held_commit is None:
+            self.maybe_start_flush()
 
     def _reset_for_new_view(self) -> None:
         self.store.reset()

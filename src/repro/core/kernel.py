@@ -42,13 +42,7 @@ from .engine import ABCAST, CBCAST, GroupEngine
 from .flush import FlushReason
 from .namespace import Namespace
 from .rpc import ALL, SessionTable
-from .shards import (
-    GroupShard,
-    ShardedWaitIndex,
-    WaiterKey,
-    WaitIndex,
-    shard_of,
-)
+from .shards import GroupShard, WaiterKey, WaitIndex, shard_of
 from .view import View
 from .wal import WalManager
 
@@ -120,9 +114,10 @@ class IsisConfig:
     abcast_mode: str = "two_phase"
     #: Partition policy for site-view membership (see fd/membership.py).
     #: ``"primary"`` (default) is the paper's rule: a component may
-    #: install the next view iff it holds at least half of the *previous
-    #: view*; the losing side stalls until the winner's commit excludes
-    #: it (§2.1/§3.7).  Byte-identical to the pre-seam behaviour.
+    #: install the next view iff it holds a majority of the *previous
+    #: view*, or exactly half of it including its oldest member; the
+    #: losing side stalls until the winner's commit excludes it
+    #: (§2.1/§3.7).
     #: ``"quorum"`` requires a strict weighted majority of the *static
     #: deployment*: the majority component keeps installing views and
     #: committing group events through a partition, every minority
@@ -131,20 +126,6 @@ class IsisConfig:
     #: path.  With ``durability`` on, votes are weighed by WAL position
     #: (a site whose log holds data counts double).
     membership: str = "primary"
-    #: Delta-encode CBCAST causal contexts (and batch have-vectors)
-    #: against the last value sent: packed addresses + varints instead of
-    #: the generic nested-dict field.  ``False`` reproduces the original
-    #: wire encoding byte for byte.
-    compact_contexts: bool = True
-    #: Dependency-indexed causal delivery (the default): pending CBCASTs
-    #: are keyed by (sender, seq) so a delivery wakes exactly its FIFO
-    #: successor, and cross-group causal waits register precise
-    #: thresholds in the kernel :class:`WaitIndex` — O(1) per arrival
-    #: regardless of pending depth.  ``False`` selects the legacy
-    #: re-scan engine (O(pending²) per arrival, every group re-scanned
-    #: on every delivery); both produce byte-identical delivery
-    #: trajectories, which differential tests exploit.
-    indexed_delivery: bool = True
     #: Fast view-change engine (the default).  Three mechanisms shrink
     #: the unavailability window of the flush: (1) *pre-reports* — when
     #: a site view removes group members, every surviving participant
@@ -188,10 +169,10 @@ class IsisConfig:
     #: before forwarding them one hop rootward as a ``g.fl.okb`` batch.
     #: A few of these fit well inside ``flush_prereport_grace``.
     flush_okb_window: float = 0.06
-    #: Number of shards the kernel's group table (and WaitIndex) is
-    #: partitioned into.  Periodic work (stability ticks) walks only the
-    #: dirty groups of each shard, so thousands of idle groups cost
-    #: nothing per tick.  Purely kernel-local: no wire impact.
+    #: Number of shards the kernel's group table is partitioned into.
+    #: Periodic work (stability ticks) walks only the dirty groups of
+    #: each shard, so thousands of idle groups cost nothing per tick.
+    #: Purely kernel-local: no wire impact.
     kernel_shards: int = 8
     #: Write-ahead delivery logging (§5 recovery).  Off by default: the
     #: hot path gains no disk events and trajectories are identical to
@@ -288,19 +269,23 @@ class ProtocolsProcess:
             GroupShard(i) for i in range(max(1, self.config.kernel_shards))
         ]
         self._stab_idle_skipped = 0
-        #: Cross-group causal wait thresholds (indexed delivery),
-        #: partitioned by the watched group's shard.
-        self.wait_index = ShardedWaitIndex(len(self.shards))
+        #: Cross-group causal wait thresholds.
+        self.wait_index = WaitIndex()
         #: Groups owed a candidate drain (a wake marked candidates there).
         self._causal_wakes: Set[Address] = set()
         #: gid -> creation rank; recheck passes visit woken groups in
-        #: this order, matching the legacy scan's engines-dict order.
+        #: this order, so seeded runs repeat.
         self._engine_order: Dict[Address, int] = {}
         self._next_engine_rank = 0
         #: Pending-depth high-water mark of engines retired since boot
         #: (stats must not drop when a group leaves this kernel).
         self._retired_peak_pending = 0
         self.contact_cache: Dict[Address, int] = {}
+        #: site -> incarnation in the current site view, and the last
+        #: incarnation of each site a site view removed (joins from it
+        #: or an older incarnation can never complete).
+        self._site_incarnations: Dict[int, int] = {}
+        self._departed_incarnation: Dict[int, int] = {}
         self._next_group_no = 1
         self._joins: Dict[Address, _JoinState] = {}
         self._leave_waiters: Dict[Tuple[Address, Address], Promise] = {}
@@ -600,13 +585,9 @@ class ProtocolsProcess:
                                 engine.causal.delivered.copy())
         return context
 
-    def check_context(self, context: Dict[Address, Tuple[int, Any]]) -> bool:
-        """Is this causal context satisfied at our kernel?"""
-        return self._check_context(context, waiter=None)
-
     def check_context_and_register(self, context: Dict[Address, Tuple[int, Any]],
                                    waiter: WaiterKey) -> bool:
-        """Indexed variant of :meth:`check_context`.
+        """Is this causal context satisfied at our kernel?
 
         On failure the waiter is registered in the :class:`WaitIndex`
         against the first unsatisfied threshold, so the matching advance
@@ -614,16 +595,6 @@ class ProtocolsProcess:
         slot from a previous evaluation is dropped first.
         """
         self.wait_index.remove(waiter)
-        return self._check_context(context, waiter)
-
-    def _check_context(self, context: Dict[Address, Tuple[int, Any]],
-                       waiter: Optional[WaiterKey]) -> bool:
-        """One satisfaction rule for both delivery engines.
-
-        The legacy and indexed engines must agree on this predicate for
-        their trajectories to stay byte-identical; registration is the
-        only difference, so it hangs off the shared walk.
-        """
         for gid, (view_id, vc) in context.items():
             key = gid.process()
             engine = self.engines.get(key)
@@ -632,14 +603,15 @@ class ProtocolsProcess:
             if engine.view.view_id > view_id:
                 continue  # older view fully flushed: satisfied
             if engine.view.view_id < view_id:
-                if waiter is not None:
-                    self.wait_index.register_view(key, waiter)
+                self.wait_index.register_view(key, waiter)
                 return False  # we have not even reached that view yet
             deficit = engine.causal.delivered.first_deficit(vc)
+            if deficit is not None and engine.causal.frozen:
+                # A frozen flush cut waits only on its pending messages.
+                deficit = engine.causal.cut_deficit(vc)
             if deficit is not None:
-                if waiter is not None:
-                    self.wait_index.register_counter(
-                        key, deficit[0], deficit[1], waiter)
+                self.wait_index.register_counter(
+                    key, deficit[0], deficit[1], waiter)
                 return False
         return True
 
@@ -649,8 +621,9 @@ class ProtocolsProcess:
         self._wake_waiters(self.wait_index.on_advance(gid, sender, seq))
 
     def note_group_view_event(self, gid: Address) -> None:
-        """Group ``gid`` installed a view (or retired): its old-view
-        thresholds are all satisfied now — wake everything keyed on it."""
+        """Group ``gid`` installed a view (or retired, or froze its flush
+        cut): its old-view thresholds may be met now — wake everything
+        keyed on it."""
         self._wake_waiters(self.wait_index.on_view_event(gid.process()))
 
     def _wake_waiters(self, waiters: List[WaiterKey]) -> None:
@@ -662,20 +635,22 @@ class ProtocolsProcess:
     def recheck_causal(self, exclude: Optional[Address] = None) -> None:
         """A group advanced: unblock cross-group causal waits elsewhere.
 
-        Indexed mode drains only groups whose WaitIndex thresholds were
-        actually crossed (candidate marks), visiting them in engine
-        order — O(1) when nothing woke.  Legacy mode re-scans every
-        group's whole pending buffer.
+        Drains only groups whose WaitIndex thresholds were actually
+        crossed (candidate marks), visiting them in engine order — O(1)
+        when nothing woke.
         """
-        if self.config.indexed_delivery:
-            if not self._causal_wakes:
-                return
-            exclude_key = exclude.process() if exclude is not None else None
-            # One pass in engine-creation order over the *live* wake set
-            # (never the whole engines dict): a group woken mid-pass at a
-            # later rank is drained this pass, one at an earlier rank
-            # waits for the next trigger — exactly the legacy scan's
-            # single-pass semantics, at O(woken groups) per call.
+        if not self._causal_wakes:
+            return
+        exclude_key = exclude.process() if exclude is not None else None
+        # Passes in engine-creation order over the *live* wake set (never
+        # the whole engines dict): a group woken mid-pass at a later rank
+        # is drained in the same pass, one at an earlier rank (or the
+        # excluded caller, woken by the pass) in the next.  This fixed
+        # rank walk keeps delivery order a function of the seed, at
+        # O(woken groups) per call.
+        visited = True
+        while self._causal_wakes and visited:
+            visited = False
             last_rank = -1
             while True:
                 best = None
@@ -689,6 +664,7 @@ class ProtocolsProcess:
                         best, best_rank = gid, rank
                 if best is None:
                     break
+                visited = True
                 last_rank = best_rank
                 self._causal_wakes.discard(best)
                 engine = self.engines.get(best)
@@ -696,13 +672,11 @@ class ProtocolsProcess:
                     continue
                 for ready in engine.causal.recheck():
                     engine.deliver_env(ready)
-            return
-        for gid, engine in list(self.engines.items()):
-            if exclude is not None and gid == exclude.process():
-                continue
-            if engine.causal.pending_count:
-                for ready in engine.causal.recheck():
-                    engine.deliver_env(ready)
+                if engine.held_commit is not None:
+                    engine.resume_held_commit()
+            if exclude_key is not None and exclude_key in self._causal_wakes:
+                visited = True
+            exclude_key = None
 
     def deliver_to_local_members(self, engine: GroupEngine,
                                  user: Message) -> None:
@@ -843,6 +817,10 @@ class ProtocolsProcess:
     # ------------------------------------------------------------------
     def _on_site_view(self, view: SiteView, departed: Set[int],
                       joined: Set[int]) -> None:
+        for site in departed:
+            if site in self._site_incarnations:
+                self._departed_incarnation[site] = self._site_incarnations[site]
+        self._site_incarnations = dict(view.members)
         self.heartbeat.set_peers(view.sites())
         is_ns_coordinator = view.coordinator_site() == self.site_id
         self.namespace.set_role(is_ns_coordinator, list(view.sites()))
@@ -864,6 +842,11 @@ class ProtocolsProcess:
                 engine.maybe_start_flush()
         for hook in self.site_view_hooks:
             hook(view, departed, joined)
+
+    def has_departed(self, process: Address) -> bool:
+        """Did a site view remove ``process``'s site incarnation?"""
+        return (self._departed_incarnation.get(process.site, -1)
+                >= process.incarnation)
 
     def sessions_note_sites_failed(self, sites: Set[int]) -> None:
         from ..errors import BroadcastFailed

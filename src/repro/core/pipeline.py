@@ -54,7 +54,7 @@ from .ordering import (  # noqa: F401  (re-exported: long-standing import site)
     make_ordering,
 )
 from .tree import SpanningTree, min_merge_have_vectors
-from .vectorclock import encode_context, encode_context_compact
+from .vectorclock import encode_context_compact
 
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import GroupEngine
@@ -206,8 +206,6 @@ class DisseminationStage:
             return None, None
         have = self.engine.store.have_vector()
         view_id = self.engine.view.view_id
-        if not self.kernel.config.compact_contexts:
-            return have, view_id  # legacy: full vector on every batch
         prev = self._last_stab.get(dst_site)
         if prev is not None and prev[0] == view_id:
             send = diff_have_vector(prev[1], have)
@@ -535,12 +533,10 @@ class TreeDissemination(DisseminationStage):
 class CausalOrdering:
     """CBCAST stage: vector-clock causal delivery.
 
-    With ``IsisConfig.compact_contexts`` (the default) the causal
-    context rides as a delta-chained binary field: message *n* of a
-    sender carries only the context entries that changed since its
-    message *n-1* (packed addresses + varints), instead of the generic
-    nested-dict encoding whose hex keys dominate ``g.cb`` frame bytes.
-    The receiver reconstructs absolute contexts in ``cb_seq`` order (see
+    The causal context rides as a delta-chained binary field: message
+    *n* of a sender carries only the context entries that changed since
+    its message *n-1* (packed addresses + varints).  The receiver
+    reconstructs absolute contexts in ``cb_seq`` order (see
     :class:`~repro.core.cbcast.CausalReceiver`).
     """
 
@@ -548,18 +544,13 @@ class CausalOrdering:
         self.engine = engine
         self.pipeline = pipeline
         kernel = engine.kernel
-        if kernel.config.indexed_delivery:
-            gid = engine.gid.process()
-            self.receiver = CausalReceiver(
-                kernel.check_context,
-                indexed=True,
-                ctx_check=lambda ctx, key: kernel.check_context_and_register(
-                    ctx, (gid, key)),
-                on_advance=lambda sender, seq: kernel.note_causal_advance(
-                    gid, sender, seq),
-            )
-        else:
-            self.receiver = CausalReceiver(kernel.check_context)
+        gid = engine.gid.process()
+        self.receiver = CausalReceiver(
+            ctx_check=lambda ctx, key: kernel.check_context_and_register(
+                ctx, (gid, key)),
+            on_advance=lambda sender, seq: kernel.note_causal_advance(
+                gid, sender, seq),
+        )
         #: Per-sender CBCAST count within the current view (send side).
         self._counts: Dict[Address, int] = {}
         #: Per-sender context as of the last envelope sent (delta base).
@@ -573,12 +564,9 @@ class CausalOrdering:
         env["cb_sender"] = key
         env["cb_seq"] = count
         context = self.engine.kernel.causal_context()
-        if self.engine.kernel.config.compact_contexts:
-            env["cb_ctx"] = encode_context_compact(
-                context, self._last_ctx.get(key))
-            self._last_ctx[key] = context
-        else:
-            env["cb_ctx"] = encode_context(context)
+        env["cb_ctx"] = encode_context_compact(
+            context, self._last_ctx.get(key))
+        self._last_ctx[key] = context
 
     def ingest(self, env: Message) -> None:
         """Receive side: queue, deliver whatever became deliverable."""
@@ -591,13 +579,12 @@ class CausalOrdering:
         self._counts.clear()
         self._last_ctx.clear()
         kernel = self.engine.kernel
-        if kernel.config.indexed_delivery:
-            # The pending buffer just reset: registrations made by this
-            # group are stale (their messages are gone), and thresholds
-            # other groups registered on us are satisfied by the view
-            # advance (delivered vectors reset per view).
-            kernel.wait_index.purge_engine(self.engine.gid.process())
-            kernel.note_group_view_event(self.engine.gid)
+        # The pending buffer just reset: registrations made by this
+        # group are stale (their messages are gone), and thresholds
+        # other groups registered on us are satisfied by the view
+        # advance (delivered vectors reset per view).
+        kernel.wait_index.purge_engine(self.engine.gid.process())
+        kernel.note_group_view_event(self.engine.gid)
 
 
 # ----------------------------------------------------------------------

@@ -8,13 +8,11 @@ stability tick (buffered messages, unannounced delivery floors, pending
 aggregation work).  The kernel's stability tick then walks only dirty
 groups — idle groups are skipped and counted (``stab.idle_skipped``).
 
-The cross-group causal :class:`WaitIndex` is partitioned the same way
-(:class:`ShardedWaitIndex`): registrations are bucketed by the *watched*
-group's shard, so the hot-path operations — register, advance, view
-event — touch one shard's dictionaries regardless of how many groups
-the kernel hosts.  ``purge_engine`` sweeps all shards (a waiter's engine
-and its watched group can live in different shards), which is O(shards),
-a small constant.
+The kernel's cross-group causal :class:`WaitIndex` lives here too.  It
+is not sharded: every operation is keyed by the watched group, so
+register, advance and view event already touch O(1) dictionary entries
+however many groups the kernel hosts, and one index keeps ``len`` and
+the high-water mark exact.
 """
 
 from __future__ import annotations
@@ -73,8 +71,8 @@ class WaitIndex:
     (vectors reset per view, so any view event can only satisfy waits).
     Each waiter holds at most one slot; on wake it re-evaluates its full
     context and either delivers or re-registers on the next failing
-    threshold.  This replaces the legacy broadcast re-scan of every
-    group's pending buffer on every delivery.
+    threshold, so no delivery ever re-scans another group's pending
+    buffer.
     """
 
     __slots__ = ("_counter_waits", "_view_waits", "_slots", "_by_engine",
@@ -184,52 +182,3 @@ class WaitIndex:
             engine_waiters.discard(waiter)
             if not engine_waiters:
                 del self._by_engine[waiter[0]]
-
-
-class ShardedWaitIndex:
-    """A :class:`WaitIndex` partitioned by the watched group's shard.
-
-    API-compatible with :class:`WaitIndex`; every per-gid operation
-    resolves one partition in O(1).  ``purge_engine`` fans out over all
-    partitions because a waiter's own engine may live in a different
-    shard than the group it watches.
-    """
-
-    __slots__ = ("_parts",)
-
-    def __init__(self, n_shards: int):
-        self._parts = [WaitIndex() for _ in range(max(1, n_shards))]
-
-    def _part(self, gid: Address) -> WaitIndex:
-        return self._parts[shard_of(gid, len(self._parts))]
-
-    def __len__(self) -> int:
-        return sum(len(p) for p in self._parts)
-
-    @property
-    def peak_size(self) -> int:
-        return max(p.peak_size for p in self._parts)
-
-    def register_counter(self, gid: Address, member: Address, needed: int,
-                         waiter: WaiterKey) -> None:
-        self.remove(waiter)
-        self._part(gid).register_counter(gid, member, needed, waiter)
-
-    def register_view(self, gid: Address, waiter: WaiterKey) -> None:
-        self.remove(waiter)
-        self._part(gid).register_view(gid, waiter)
-
-    def remove(self, waiter: WaiterKey) -> None:
-        for part in self._parts:
-            part.remove(waiter)
-
-    def on_advance(self, gid: Address, member: Address,
-                   seq: int) -> List[WaiterKey]:
-        return self._part(gid).on_advance(gid, member, seq)
-
-    def on_view_event(self, gid: Address) -> List[WaiterKey]:
-        return self._part(gid).on_view_event(gid)
-
-    def purge_engine(self, engine_gid: Address) -> None:
-        for part in self._parts:
-            part.purge_engine(engine_gid)

@@ -128,41 +128,21 @@ class VectorClock:
         return f"VC({parts})"
 
 
-def encode_context(
-    context: Mapping[Address, "tuple[int, VectorClock]"],
-) -> Dict[str, Dict]:
-    """Encode a causal context (gid → (view_id, VectorClock)) for a message.
-
-    Delivered vectors reset at every view change (the flush has already
-    delivered everything older), so a context entry is only comparable
-    against the *same* view: the view id rides along.
-    """
-    return {
-        gid.pack().hex(): {"v": view_id, "vc": vc.to_value()}
-        for gid, (view_id, vc) in context.items()
-    }
-
-
-def decode_context(value: Mapping[str, Mapping]) -> Dict[Address, "tuple[int, VectorClock]"]:
-    return {
-        Address.unpack(bytes.fromhex(key)): (
-            entry["v"], VectorClock.from_value(entry["vc"])
-        )
-        for key, entry in value.items()
-    }
-
-
 # ----------------------------------------------------------------------
 # Compact binary context codec (delta-chained)
 # ----------------------------------------------------------------------
-# The generic dict encoding above costs ~45 bytes per vector-clock entry
-# (hex-string keys, nested dict framing); at scale the ``cb_ctx`` header
-# dominates CBCAST frame bytes.  The compact form packs addresses raw
-# (8 bytes) and counters as LEB128 varints, and chains consecutive
-# messages of one sender: message *n* carries only the entries that
-# changed since message *n-1*.  The receiver reconstructs the absolute
-# context at delivery time — per-sender FIFO delivery (``cb_seq``
-# contiguity) guarantees the predecessor context is always known.
+# A causal context maps gid -> (view_id, VectorClock).  Delivered vectors
+# reset at every view change (the flush has already delivered everything
+# older), so an entry is only comparable against the *same* view: the
+# view id rides along.  A generic nested-dict field would cost ~45
+# bytes per vector-clock entry (hex-string keys, dict framing), and at
+# scale the ``cb_ctx`` header would dominate CBCAST frame bytes.  This
+# codec packs addresses raw (8 bytes) and counters as LEB128 varints,
+# and chains consecutive messages of one sender: message *n* carries
+# only the entries that changed since message *n-1*.  The receiver
+# reconstructs the absolute context at delivery time — per-sender FIFO
+# delivery (``cb_seq`` contiguity) guarantees the predecessor context is
+# always known.
 
 Context = Dict[Address, Tuple[int, "VectorClock"]]
 

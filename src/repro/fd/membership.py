@@ -20,12 +20,12 @@ system does with them.  Two questions are delegated:
 Policies:
 
 ``primary`` — :class:`PrimaryPartitionPolicy`, the paper's rule (§2.1,
-§3.7): a component may install a view iff it contains **at least half
-of the previous view** (``2 * |survivors| >= |view|``).  Successive
-views overlap by construction, so at most one chain of primary views
-exists.  This is the default and is byte-identical to the behaviour
-before the seam existed: no wire fields are added and the arithmetic is
-the historical check verbatim.
+§3.7): a component may install a view iff it contains **a majority of the
+previous view**, or exactly half of it including the previous view's
+oldest member.  Two disjoint components can never both qualify (half
+alone would let both halves of an even split go on), so successive
+views overlap and at most one chain of primary views exists.  This is
+the default; no wire fields are added.
 
 ``quorum`` — :class:`QuorumPolicy`: a component may install a view (and
 commit) iff it holds a **strict weighted majority of the static
@@ -102,17 +102,19 @@ class MembershipPolicy:
 
 
 class PrimaryPartitionPolicy(MembershipPolicy):
-    """The paper's primary-partition rule, extracted verbatim."""
+    """The paper's primary-partition rule, with an even-split tie-break."""
 
     mode = "primary"
 
     def may_install(self, survivors: Sequence[SvMember],
                     view_members: Sequence[SvMember],
                     trusted: Sequence[SvMember]) -> bool:
-        # Historical check, inverted: the agent stalled when
-        # ``2 * len(survivors) < len(view.members)``.  ``trusted`` is
-        # deliberately ignored — byte-identical legacy behaviour.
-        return 2 * len(survivors) >= len(view_members)
+        # ``trusted`` is deliberately ignored: the previous view is the
+        # only reference.  On an exact half, the side holding the view's
+        # oldest member wins, so the two halves cannot both go on.
+        if 2 * len(survivors) != len(view_members):
+            return 2 * len(survivors) > len(view_members)
+        return view_members[0] in survivors
 
 
 class QuorumPolicy(MembershipPolicy):

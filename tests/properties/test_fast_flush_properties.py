@@ -8,8 +8,9 @@ wire bytes, byte-identical trajectories), the two flush engines send
 *different* traffic, so arrival timing — and therefore the interleaving
 of concurrent messages — legitimately differs.  What must match:
 
-* each mode independently satisfies §2.4: one global ABCAST order,
-  per-sender FIFO, survivors deliver the same sets;
+* each mode independently satisfies the history checker
+  (:mod:`.history`): one ABCAST order, per-sender FIFO, exactly-once,
+  the same set per view among survivors, causal order;
 * both modes converge to the same final membership for the same
   scripted churn (joins, kills, site crashes, GBCASTs, partitions);
 * messages from senders on *surviving sites* are delivered (to the
@@ -25,21 +26,23 @@ from hypothesis import strategies as st
 
 from repro import IsisCluster, IsisConfig, LanConfig
 
+from .history import GBCAST, History
+
 ENTRY = 16
 N_SITES = 4
 
 
 def _churn_run(fast, seed, mode, script):
-    """One scripted churn workload; returns (deliveries, members, trace)."""
+    """One scripted churn workload; returns its history, views and trace."""
     system = IsisCluster(
         n_sites=N_SITES, seed=seed,
         isis_config=IsisConfig(fast_flush=fast, abcast_mode=mode),
     )
-    deliveries = {s: [] for s in range(N_SITES)}
+    history = History()
     members = []
     for site in range(N_SITES):
         proc, isis = system.spawn(site, f"m{site}")
-        proc.bind(ENTRY, lambda msg, s=site: deliveries[s].append(msg["tag"]))
+        proc.bind(ENTRY, history.on_delivery(f"m{site}"))
         members.append((proc, isis))
 
     def create():
@@ -48,9 +51,10 @@ def _churn_run(fast, seed, mode, script):
     members[0][0].spawn(create(), "create")
     system.run_for(3.0)
     for i in range(1, N_SITES):
-        def join(isis=members[i][1]):
+        def join(isis=members[i][1], name=f"m{i}"):
             gid = yield isis.pg_lookup("ff")
-            yield isis.pg_join(gid)
+            view = yield isis.pg_join(gid)
+            history.joined(name, gid.process(), view.view_id)
 
         members[i][0].spawn(join(), f"j{i}")
         system.run_for(15.0)
@@ -62,8 +66,8 @@ def _churn_run(fast, seed, mode, script):
             gid = yield isis.pg_lookup("ff")
             for i in range(14):
                 kind = "abcast" if (idx + i) % 2 else "cbcast"
-                yield isis.bcast(gid, ENTRY, kind=kind,
-                                 tag=f"s{idx}:{kind[:2]}:{i}")
+                yield from history.bcast(f"m{idx}", isis, gid, ENTRY, kind,
+                                         f"s{idx}:{kind[:2]}:{i}")
                 yield sleep(system.sim, 0.11)
 
         proc.spawn(gen(), f"t{idx}")
@@ -80,7 +84,8 @@ def _churn_run(fast, seed, mode, script):
         elif kind == "gbcast":
             def gb(step=step):
                 gid = yield members[0][1].pg_lookup("ff")
-                yield members[0][1].gbcast(gid, ENTRY, tag=f"gb:{step}")
+                yield from history.bcast("m0", members[0][1], gid, ENTRY,
+                                         GBCAST, f"gb:{step}")
 
             members[0][0].spawn(gb(), f"gb{step}")
         elif kind == "partition":
@@ -89,15 +94,15 @@ def _churn_run(fast, seed, mode, script):
             system.cluster.lan.heal()
         elif kind == "join":
             joiner, joiner_isis = system.spawn(arg, f"late{step}")
-            joiner.bind(ENTRY, lambda msg, s=arg: deliveries[s].append(
-                ("late", msg["tag"])))
+            joiner.bind(ENTRY, history.on_delivery(f"late{step}"))
 
-            def jn(joiner_isis=joiner_isis):
+            def jn(joiner_isis=joiner_isis, name=f"late{step}"):
                 gid = yield joiner_isis.pg_lookup("ff")
-                yield joiner_isis.pg_join(gid)
+                view = yield joiner_isis.pg_join(gid)
+                history.joined(name, gid.process(), view.view_id)
 
             joiner.spawn(jn(), f"late{step}")
-            late.append(joiner)
+            late.append((f"late{step}", joiner))
     system.run_for(120.0)
 
     survivors = [s for s in range(N_SITES) if s not in crashed_sites]
@@ -106,62 +111,29 @@ def _churn_run(fast, seed, mode, script):
         for engine in system.kernel(s).engines.values():
             if engine.installed and engine.view is not None:
                 views[s] = tuple(sorted(str(m) for m in engine.view.members))
+    procs = [(f"m{s}", proc) for s, (proc, _) in enumerate(members)] + late
     return {
-        "deliveries": deliveries,
+        "history": history,
+        "final": [name for name, proc in procs if proc.alive],
         "survivor_sites": survivors,
-        "crashed": crashed_sites,
         "views": views,
         "trace": system.sim.trace,
     }
 
 
-def _check_vs_invariants(result):
-    """Per-mode §2.4 invariants over the original (site-bound) members."""
-    deliveries = result["deliveries"]
-    member_sites = [s for s in result["survivor_sites"]]
-    # Everyone that survived to the end and stayed a member agrees on
-    # the ABCAST order; membership can differ only by kill timing, so
-    # compare sites present in the final view.
-    final_sites = [s for s in member_sites if s in result["views"]]
-    ab_orders = {}
-    for s in final_sites:
-        ab_orders[s] = [t for t in deliveries[s]
-                        if isinstance(t, str) and ":ab:" in t]
-    # ABCAST order equality holds over the common delivered suffix of
-    # any two members that were in the same views; with full quiescence
-    # at the end, the delivered *sets* per view agree, so whole-run
-    # sequences restricted to common tags must be order-compatible.
-    for a in final_sites:
-        for b in final_sites:
-            if a >= b:
-                continue
-            common = set(ab_orders[a]) & set(ab_orders[b])
-            seq_a = [t for t in ab_orders[a] if t in common]
-            seq_b = [t for t in ab_orders[b] if t in common]
-            assert seq_a == seq_b, (
-                f"ABCAST order diverged between sites {a} and {b}")
-    # Per-sender FIFO everywhere.
-    for s in member_sites:
-        for sender in range(N_SITES):
-            for kind in ("cb", "ab"):
-                seq = [int(t.split(":")[2]) for t in deliveries[s]
-                       if isinstance(t, str)
-                       and t.startswith(f"s{sender}:{kind}:")]
-                assert seq == sorted(seq), (
-                    f"FIFO violated at site {s} for sender {sender}")
-
-
 def _surviving_sender_tags(result):
-    """Tags delivered anywhere, restricted to senders on surviving
-    sites (their kernels' reports always cover their own sends)."""
+    """Tags the original members on surviving sites delivered,
+    restricted to senders on surviving sites (their kernels' reports
+    always cover their own sends), plus GBCASTs."""
     out = set()
+    history = result["history"]
     for s in result["survivor_sites"]:
-        for t in result["deliveries"][s]:
-            if isinstance(t, str) and t.startswith("s"):
+        for t in history.delivered_mids(f"m{s}"):
+            if t.startswith("s"):
                 sender = int(t.split(":")[0][1:])
                 if sender in result["survivor_sites"]:
                     out.add(t)
-            elif isinstance(t, str) and t.startswith("gb:"):
+            elif t.startswith("gb:"):
                 out.add(t)
     return out
 
@@ -184,7 +156,7 @@ def test_fast_flush_matches_legacy_under_churn(seed, mode, script):
     fast = _churn_run(True, seed, mode, script)
     legacy = _churn_run(False, seed, mode, script)
     for result in (fast, legacy):
-        _check_vs_invariants(result)
+        result["history"].check(result["final"])
     # Same final membership in both modes.
     fast_views = set(fast["views"].values())
     legacy_views = set(legacy["views"].values())
@@ -208,7 +180,7 @@ def test_fast_flush_matches_legacy_across_site_crash(seed, mode, crash_site):
     fast = _churn_run(True, seed, mode, script)
     legacy = _churn_run(False, seed, mode, script)
     for result in (fast, legacy):
-        _check_vs_invariants(result)
+        result["history"].check(result["final"])
     assert set(fast["views"].values()) == set(legacy["views"].values())
     assert _surviving_sender_tags(fast) == _surviving_sender_tags(legacy)
     # The crash actually exercised the fast path in fast mode.

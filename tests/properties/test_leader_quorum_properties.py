@@ -13,7 +13,7 @@ Two families of differential checks over the ordering/membership seams:
   majority component keeps installing views and delivering while the
   minority wedges (at most one committing component); under an exact
   50/50 split *neither* side commits, whereas primary-partition mode
-  historically lets both halves install reduced views; a healed
+  lets the half holding the oldest member go on; a healed
   minority self-destructs and rejoins through the ordinary state
   transfer path, converging on the survivors' state.
 """
@@ -178,10 +178,10 @@ def test_quorum_even_split_wedges_both_sides():
         system.kernel(s).agent.view.view_id == 1 for s in range(4))
 
 
-def test_primary_even_split_installs_both_sides():
-    """Contrast: the paper's primary-partition rule admits a 50/50
-    split on both sides (half *of the previous view* suffices), which
-    is exactly the split-brain quorum mode exists to rule out."""
+def test_primary_even_split_installs_oldest_side_only():
+    """The primary-partition rule on a 50/50 split: only the half that
+    holds the previous view's oldest member installs a reduced view, so
+    the two halves never both go on (no split brain)."""
     system = IsisCluster(
         n_sites=4, seed=31,
         isis_config=IsisConfig(membership="primary"))
@@ -189,14 +189,17 @@ def test_primary_even_split_installs_both_sides():
     handles = {}
     gid = build_group(system, handles, 4, deliveries)
     system.run_for(10.0)
+    before = system.kernel(2).agent.view
 
     system.cluster.lan.partition([[0, 1], [2, 3]])
     system.run_for(40.0)
 
     left = system.kernel(0).agent.view
-    right = system.kernel(2).agent.view
     assert {s for s, _ in left.members} == {0, 1}
-    assert {s for s, _ in right.members} == {2, 3}
+    for s in (2, 3):
+        kernel = system.kernel(s)
+        assert not (kernel.alive and kernel.agent.view.view_id
+                    > before.view_id), f"site {s} installed a view"
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,9 @@ differential, the two modes send different traffic, so arrival timing
 (and therefore the interleaving of concurrent multicasts) legitimately
 differs.  What must match:
 
-* each mode independently satisfies §2.4: one global ABCAST order
-  among final-view members, per-sender FIFO, survivors deliver the
-  same sets;
+* each mode independently satisfies the history checker
+  (:mod:`.history`): one ABCAST order, per-sender FIFO, exactly-once,
+  the same set per view among survivors, causal order;
 * both modes converge to the same final membership for the same
   scripted churn, under both abcast modes and both flush engines;
 * messages from senders on surviving sites are delivered identically
@@ -25,22 +25,24 @@ from hypothesis import strategies as st
 
 from repro import IsisCluster, IsisConfig
 
+from .history import GBCAST, History
+
 ENTRY = 16
 N_SITES = 5
 
 
 def _churn_run(dissemination, seed, mode, fast, script):
-    """One scripted churn workload; returns deliveries/views/trace."""
+    """One scripted churn workload; returns history/views/trace."""
     system = IsisCluster(
         n_sites=N_SITES, seed=seed,
         isis_config=IsisConfig(dissemination=dissemination, tree_fanout=2,
                                abcast_mode=mode, fast_flush=fast),
     )
-    deliveries = {s: [] for s in range(N_SITES)}
+    history = History()
     members = []
     for site in range(N_SITES):
         proc, isis = system.spawn(site, f"m{site}")
-        proc.bind(ENTRY, lambda msg, s=site: deliveries[s].append(msg["tag"]))
+        proc.bind(ENTRY, history.on_delivery(f"m{site}"))
         members.append((proc, isis))
 
     def create():
@@ -49,9 +51,10 @@ def _churn_run(dissemination, seed, mode, fast, script):
     members[0][0].spawn(create(), "create")
     system.run_for(3.0)
     for i in range(1, N_SITES):
-        def join(isis=members[i][1]):
+        def join(isis=members[i][1], name=f"m{i}"):
             gid = yield isis.pg_lookup("td")
-            yield isis.pg_join(gid)
+            view = yield isis.pg_join(gid)
+            history.joined(name, gid.process(), view.view_id)
 
         members[i][0].spawn(join(), f"j{i}")
         system.run_for(15.0)
@@ -62,8 +65,8 @@ def _churn_run(dissemination, seed, mode, fast, script):
             gid = yield isis.pg_lookup("td")
             for i in range(12):
                 kind = "abcast" if (idx + i) % 2 else "cbcast"
-                yield isis.bcast(gid, ENTRY, kind=kind,
-                                 tag=f"s{idx}:{kind[:2]}:{i}")
+                yield from history.bcast(f"m{idx}", isis, gid, ENTRY, kind,
+                                         f"s{idx}:{kind[:2]}:{i}")
                 yield sleep(system.sim, 0.11)
 
         proc.spawn(gen(), f"t{idx}")
@@ -79,7 +82,8 @@ def _churn_run(dissemination, seed, mode, fast, script):
         elif kind == "gbcast":
             def gb(step=step):
                 gid = yield members[0][1].pg_lookup("td")
-                yield members[0][1].gbcast(gid, ENTRY, tag=f"gb:{step}")
+                yield from history.bcast("m0", members[0][1], gid, ENTRY,
+                                         GBCAST, f"gb:{step}")
 
             members[0][0].spawn(gb(), f"gb{step}")
     system.run_for(120.0)
@@ -91,7 +95,9 @@ def _churn_run(dissemination, seed, mode, fast, script):
             if engine.installed and engine.view is not None:
                 views[s] = tuple(sorted(str(m) for m in engine.view.members))
     return {
-        "deliveries": deliveries,
+        "history": history,
+        "final": [f"m{s}" for s, (proc, _) in enumerate(members)
+                  if proc.alive],
         "survivor_sites": survivors,
         "views": views,
         "trace": system.sim.trace,
@@ -99,43 +105,16 @@ def _churn_run(dissemination, seed, mode, fast, script):
     }
 
 
-def _check_vs_invariants(result):
-    """Per-mode §2.4 invariants over the original (site-bound) members."""
-    deliveries = result["deliveries"]
-    member_sites = list(result["survivor_sites"])
-    final_sites = [s for s in member_sites if s in result["views"]]
-    ab_orders = {}
-    for s in final_sites:
-        ab_orders[s] = [t for t in deliveries[s]
-                        if isinstance(t, str) and ":ab:" in t]
-    for a in final_sites:
-        for b in final_sites:
-            if a >= b:
-                continue
-            common = set(ab_orders[a]) & set(ab_orders[b])
-            seq_a = [t for t in ab_orders[a] if t in common]
-            seq_b = [t for t in ab_orders[b] if t in common]
-            assert seq_a == seq_b, (
-                f"ABCAST order diverged between sites {a} and {b}")
-    for s in member_sites:
-        for sender in range(N_SITES):
-            for kind in ("cb", "ab"):
-                seq = [int(t.split(":")[2]) for t in deliveries[s]
-                       if isinstance(t, str)
-                       and t.startswith(f"s{sender}:{kind}:")]
-                assert seq == sorted(seq), (
-                    f"FIFO violated at site {s} for sender {sender}")
-
-
 def _surviving_sender_tags(result):
     out = set()
+    history = result["history"]
     for s in result["survivor_sites"]:
-        for t in result["deliveries"][s]:
-            if isinstance(t, str) and t.startswith("s"):
+        for t in history.delivered_mids(f"m{s}"):
+            if t.startswith("s"):
                 sender = int(t.split(":")[0][1:])
                 if sender in result["survivor_sites"]:
                     out.add(t)
-            elif isinstance(t, str) and t.startswith("gb:"):
+            elif t.startswith("gb:"):
                 out.add(t)
     return out
 
@@ -158,7 +137,7 @@ def test_tree_matches_flat_under_churn(seed, mode, fast, script):
     tree = _churn_run("tree", seed, mode, fast, script)
     flat = _churn_run("flat", seed, mode, fast, script)
     for result in (tree, flat):
-        _check_vs_invariants(result)
+        result["history"].check(result["final"])
     tree_views = set(tree["views"].values())
     flat_views = set(flat["views"].values())
     assert len(tree_views) <= 1 and len(flat_views) <= 1, (
@@ -185,7 +164,7 @@ def test_tree_ancestor_crash_mid_multicast(mode, fast):
     tree = _churn_run("tree", 42, mode, fast, script)
     flat = _churn_run("flat", 42, mode, fast, script)
     for result in (tree, flat):
-        _check_vs_invariants(result)
+        result["history"].check(result["final"])
     assert set(tree["views"].values()) == set(flat["views"].values())
     assert len(set(tree["views"].values())) == 1
     tags = _surviving_sender_tags(tree)
@@ -196,8 +175,8 @@ def test_tree_ancestor_crash_mid_multicast(mode, fast):
         kind = "ab" if i % 2 else "cb"
         assert f"s0:{kind}:{i}" in tags
     for s in (3, 4):
-        got = {t for t in tree["deliveries"][s]
-               if isinstance(t, str) and t.startswith("s0:")}
+        got = {t for t in tree["history"].delivered_mids(f"m{s}")
+               if t.startswith("s0:")}
         assert len(got) == 12, f"site {s} missed relayed traffic: {got}"
 
 

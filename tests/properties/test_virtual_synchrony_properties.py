@@ -1,13 +1,16 @@
 """Property-based tests of the virtual synchrony invariants.
 
 Random multicast workloads (mixed CBCAST/ABCAST, random sizes) with a
-random crash injected mid-stream.  The invariants checked are the
-paper's §2.4 guarantees:
+random crash injected mid-stream, checked with the history checker
+(:mod:`.history`) for the paper's §2.4 guarantees and causal order, plus
+the stronger whole-run agreement these failure-free or single-crash
+runs must reach:
 
 * ABCAST deliveries form one global order (every member's sequence is a
   prefix-compatible subsequence of the same total order — here: equal);
-* per-sender FIFO holds for CBCAST at every member;
-* survivors deliver the same message *set* between the same views.
+* per-sender FIFO holds at every member;
+* survivors deliver the same message *set* between the same views;
+* CBCAST delivery respects happened-before.
 """
 
 import pytest
@@ -16,14 +19,16 @@ from hypothesis import strategies as st
 
 from repro import IsisCluster
 
+from .history import History
+
 
 def build(seed, n_sites=3):
     system = IsisCluster(n_sites=n_sites, seed=seed)
-    deliveries = {site: [] for site in range(n_sites)}
+    history = History()
     members = []
     for site in range(n_sites):
         proc, isis = system.spawn(site, f"m{site}")
-        proc.bind(16, lambda msg, s=site: deliveries[s].append(msg["tag"]))
+        proc.bind(16, history.on_delivery(f"m{site}"))
         members.append((proc, isis))
 
     def create():
@@ -32,13 +37,14 @@ def build(seed, n_sites=3):
     members[0][0].spawn(create(), "create")
     system.run_for(3.0)
     for i in range(1, n_sites):
-        def join(isis=members[i][1]):
+        def join(isis=members[i][1], name=f"m{i}"):
             gid = yield isis.pg_lookup("prop")
-            yield isis.pg_join(gid)
+            view = yield isis.pg_join(gid)
+            history.joined(name, gid.process(), view.view_id)
 
         members[i][0].spawn(join(), f"join{i}")
         system.run_for(20.0)
-    return system, members, deliveries
+    return system, members, history
 
 
 @given(
@@ -52,30 +58,31 @@ def build(seed, n_sites=3):
 )
 @settings(max_examples=12, deadline=None)
 def test_abcast_total_order_and_cbcast_fifo(seed, plan):
-    system, members, deliveries = build(seed)
+    system, members, history = build(seed)
     task_ids = []
     for task_id, (sender_idx, kind, burst) in enumerate(plan):
         proc, isis = members[sender_idx]
         task_ids.append((task_id, kind))
 
-        def blast(isis=isis, kind=kind, burst=burst, task_id=task_id):
+        def blast(isis=isis, kind=kind, burst=burst, task_id=task_id,
+                  name=f"m{sender_idx}"):
             gid = yield isis.pg_lookup("prop")
             for i in range(burst):
-                yield isis.bcast(gid, 16, kind=kind,
-                                 tag=f"{kind[:2]}:{task_id}:{i}")
+                yield from history.bcast(name, isis, gid, 16, kind,
+                                         f"{kind[:2]}:{task_id}:{i}")
 
         proc.spawn(blast(), f"blast{task_id}")
     system.run_for(200.0)
+    history.check([f"m{s}" for s in range(3)])
+    deliveries = [history.delivered_mids(f"m{s}") for s in range(3)]
     # Same ABCAST order everywhere.
-    ab_orders = [
-        [t for t in deliveries[s] if t.startswith("ab")] for s in range(3)
-    ]
+    ab_orders = [[t for t in d if t.startswith("ab")] for d in deliveries]
     assert ab_orders[0] == ab_orders[1] == ab_orders[2]
     # FIFO per sending *task* everywhere (concurrent tasks of one process
     # interleave at the kernel, so only intra-task order is defined).
-    for site in range(3):
+    for d in deliveries:
         for task_id, kind in task_ids:
-            seq = [int(t.split(":")[2]) for t in deliveries[site]
+            seq = [int(t.split(":")[2]) for t in d
                    if t.startswith(f"{kind[:2]}:{task_id}:")]
             assert seq == sorted(seq)
     # Everyone delivered the same set.
@@ -89,23 +96,24 @@ def test_abcast_total_order_and_cbcast_fifo(seed, plan):
 )
 @settings(max_examples=10, deadline=None)
 def test_survivors_agree_despite_crash(seed, crash_site, crash_after):
-    system, members, deliveries = build(seed)
+    system, members, history = build(seed)
     for sender_idx in range(3):
         proc, isis = members[sender_idx]
 
         def blast(isis=isis, sender_idx=sender_idx):
             gid = yield isis.pg_lookup("prop")
             for i in range(8):
-                yield isis.bcast(
-                    gid, 16,
-                    kind="abcast" if i % 2 else "cbcast",
-                    tag=f"x:{sender_idx}:{i}")
+                yield from history.bcast(
+                    f"m{sender_idx}", isis, gid, 16,
+                    "abcast" if i % 2 else "cbcast", f"x:{sender_idx}:{i}")
 
         proc.spawn(blast(), f"blast{sender_idx}")
     system.run_for(crash_after)
     system.crash_site(crash_site)
     system.run_for(300.0)
     survivors = [s for s in range(3) if s != crash_site]
+    history.check([f"m{s}" for s in survivors])
+    deliveries = {s: history.delivered_mids(f"m{s}") for s in survivors}
     sets = [set(deliveries[s]) for s in survivors]
     assert sets[0] == sets[1], (
         f"survivors diverged: only-in-{survivors[0]}={sets[0] - sets[1]}, "

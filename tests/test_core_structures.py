@@ -7,7 +7,11 @@ from repro.msg import Message, make_group_address, make_process_address
 from repro.core.abcast import TotalOrderReceiver, TotalOrderSender
 from repro.core.cbcast import CausalReceiver
 from repro.core.store import MessageStore
-from repro.core.vectorclock import VectorClock, decode_context, encode_context
+from repro.core.vectorclock import (
+    VectorClock,
+    decode_context_compact,
+    encode_context_compact,
+)
 from repro.core.view import View
 
 GID = make_group_address(0, 1)
@@ -133,8 +137,8 @@ class TestVectorClock:
         vc = VectorClock()
         vc.set(P1, 4)
         ctx = {GID: (3, vc)}
-        msg = Message(ctx=encode_context(ctx))
-        decoded = decode_context(Message.decode(msg.encode())["ctx"])
+        msg = Message(ctx=encode_context_compact(ctx))
+        decoded = decode_context_compact(Message.decode(msg.encode())["ctx"])
         assert decoded[GID][0] == 3
         assert decoded[GID][1] == vc
 
@@ -186,40 +190,86 @@ class TestMessageStore:
 def _cb(sender, seq, ctx=None):
     msg = Message(cb_sender=sender, cb_seq=seq)
     if ctx:
-        msg["cb_ctx"] = encode_context(ctx)
+        msg["cb_ctx"] = encode_context_compact(ctx)
     return msg
+
+
+def _always(ctx, key):
+    return True
 
 
 class TestCausalReceiver:
     def test_fifo_per_sender(self):
-        rx = CausalReceiver(lambda ctx: True)
+        rx = CausalReceiver(_always)
         assert rx.offer(_cb(P0, 2)) == []          # gap: seq 1 missing
         delivered = rx.offer(_cb(P0, 1))
         assert [m["cb_seq"] for m in delivered] == [1, 2]
 
     def test_senders_independent(self):
-        rx = CausalReceiver(lambda ctx: True)
+        rx = CausalReceiver(_always)
         assert len(rx.offer(_cb(P0, 1))) == 1
         assert len(rx.offer(_cb(P1, 1))) == 1
 
     def test_context_blocks_until_satisfied(self):
         satisfied = {"ok": False}
-        rx = CausalReceiver(lambda ctx: satisfied["ok"])
+        blocked = []
+
+        def ctx_check(ctx, key):
+            if not satisfied["ok"]:
+                blocked.append(key)  # the kernel would register a wait
+            return satisfied["ok"]
+
+        rx = CausalReceiver(ctx_check)
         vc = VectorClock()
         vc.set(P1, 1)
         assert rx.offer(_cb(P0, 1, ctx={GID: (1, vc)})) == []
+        assert blocked == [(P0, 1)]
         satisfied["ok"] = True
+        assert rx.recheck() == []   # not woken: stays pending
+        assert rx.mark_candidate((P0, 1))
+        assert not rx.mark_candidate((P0, 1))  # already marked
         assert len(rx.recheck()) == 1
+        assert rx.pending_count == 0
 
     def test_new_view_resets(self):
-        rx = CausalReceiver(lambda ctx: True)
+        rx = CausalReceiver(_always)
         rx.offer(_cb(P0, 1))
         rx.offer(_cb(P1, 2))  # stuck on gap
         rx.on_new_view()
         assert rx.pending_count == 0
         assert rx.delivered.get(P0) == 0
+        assert not rx.mark_candidate((P1, 2))
         # Sequence numbers restart in the new view.
         assert len(rx.offer(_cb(P0, 1))) == 1
+
+    def test_cut_delivers_leftovers_in_causal_order(self):
+        rx = CausalReceiver(lambda ctx, key: False)
+        needs_p0 = VectorClock()
+        needs_p0.set(P0, 2)
+        # Arrival order: P1's message first, though it depends on P0's
+        # second message; P0's first message was lost with its sender.
+        assert rx.offer(_cb(P1, 1, ctx={GID: (1, needs_p0)})) == []
+        assert rx.offer(_cb(P0, 2)) == []
+        other = VectorClock()
+        other.set(P2, 1)
+        other_gid = make_group_address(0, 2)
+        assert rx.offer(_cb(P2, 1, ctx={GID: (1, VectorClock()),
+                                        other_gid: (1, other)})) == []
+        waits = []
+
+        def others_ok(ctx, key):
+            if ctx:
+                waits.append(key)  # the kernel would register a wait
+            return not ctx
+
+        out = rx.drain_cut(GID, others_ok)
+        assert rx.frozen
+        assert [(m["cb_sender"], m["cb_seq"]) for m in out] == [
+            (P0, 2), (P1, 1)]
+        # The leftover waiting on another group stays for the caller.
+        assert rx.pending_count == 1 and waits == [(P2, 1)]
+        rx.on_new_view()
+        assert not rx.frozen
 
 
 class TestTotalOrder:

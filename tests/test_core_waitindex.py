@@ -9,11 +9,13 @@ threshold on ``gid`` — and is woken only when that threshold crosses.
 import pytest
 
 from repro import IsisCluster
-from repro.core.kernel import IsisConfig, WaitIndex
+from repro.core.kernel import WaitIndex
+from repro.core.shards import shard_of
 from repro.msg.address import make_group_address, make_process_address
 
 G1 = make_group_address(0, 1)
 G2 = make_group_address(0, 2)
+G3 = make_group_address(3, 1)
 M1 = make_process_address(1, 0, 7)
 M2 = make_process_address(2, 0, 9)
 
@@ -79,11 +81,59 @@ class TestWaitIndex:
         wi.on_view_event(G2)
         assert len(wi) == 0 and wi.peak_size == 3
 
+    def test_mixed_counter_and_view_waits(self):
+        wi = WaitIndex()
+        wi.register_counter(G1, M1, 3, W1)
+        wi.register_view(G3, W2)
+        assert len(wi) == 2
+        assert wi.peak_size == 2
+        assert wi.on_advance(G1, M1, 2) == []
+        assert wi.on_advance(G1, M1, 3) == [W1]
+        assert wi.on_view_event(G3) == [W2]
+        assert len(wi) == 0
 
-def _two_group_cluster(indexed=True, n_sites=3, seed=21):
+    def test_one_slot_per_waiter_across_watched_groups(self):
+        # Re-registration against a *different* watched group must still
+        # migrate the single slot, not leak the old one.
+        wi = WaitIndex()
+        wi.register_counter(G1, M1, 3, W1)
+        wi.register_view(G3, W1)
+        assert len(wi) == 1
+        assert wi.on_advance(G1, M1, 3) == []
+        assert wi.on_view_event(G3) == [W1]
+
+    def test_purge_engine_sweeps_every_watched_group(self):
+        wi = WaitIndex()
+        wi.register_counter(G1, M1, 3, W1)   # engine G2 waits on G1
+        wi.register_view(G3, W2)             # engine G2 waits on G3
+        wi.register_view(G2, W3)             # engine G1 waits on G2
+        wi.purge_engine(G2)
+        assert len(wi) == 1
+        assert wi.on_advance(G1, M1, 3) == []
+        assert wi.on_view_event(G3) == []
+        assert wi.on_view_event(G2) == [W3]
+
+
+class TestKernelWaitIndex:
+    def test_peak_counts_waiters_on_every_group(self):
+        """``wait_index.peak`` is the kernel-wide high-water mark: two
+        waiters blocked at once on groups that hash to different kernel
+        shards count as two."""
+        system = IsisCluster(n_sites=1, seed=3)
+        kernel = system.kernel(0)
+        n_shards = kernel.stats()["kernel.shards"]
+        assert n_shards > 1
+        assert shard_of(G1, n_shards) != shard_of(G3, n_shards)
+        kernel.wait_index.register_counter(G1, M1, 3, W1)
+        kernel.wait_index.register_view(G3, W3)
+        stats = kernel.stats()
+        assert stats["wait_index.size"] == 2
+        assert stats["wait_index.peak"] == 2
+
+
+def _two_group_cluster(n_sites=3, seed=21):
     """Two fully overlapping groups; returns (system, members, deliveries)."""
-    system = IsisCluster(n_sites=n_sites, seed=seed,
-                         isis_config=IsisConfig(indexed_delivery=indexed))
+    system = IsisCluster(n_sites=n_sites, seed=seed)
     deliveries = {s: [] for s in range(n_sites)}
     members = []
     for site in range(n_sites):
