@@ -30,6 +30,11 @@ from typing import Any, Tuple
 from ..errors import CodecError
 from .address import ADDRESS_SIZE, Address
 
+#: The message class, for nested ``T_MSG`` values.  ``message.py``
+#: imports this module, so it binds the class here once the class is
+#: defined; the codec functions read it as an ordinary global.
+Message: Any = None
+
 T_NONE = 0
 T_BOOL = 1
 T_INT = 2
@@ -49,9 +54,6 @@ _F64 = struct.Struct(">d")
 
 def encode_value(value: Any) -> bytes:
     """Encode one field value, including its leading type tag."""
-    # Imported here to avoid a cycle: Message encodes via fields.
-    from .message import Message
-
     if value is None:
         return bytes([T_NONE])
     if isinstance(value, bool):  # must precede int: bool is an int subtype
@@ -95,8 +97,6 @@ def encode_value(value: Any) -> bytes:
 
 def decode_value(data: bytes, offset: int) -> Tuple[Any, int]:
     """Decode one value at ``offset``; return (value, next_offset)."""
-    from .message import Message
-
     if offset >= len(data):
         raise CodecError("truncated value: missing type tag")
     tag = data[offset]

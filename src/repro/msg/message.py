@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List, Optional
 
 from ..errors import CodecError
+from . import fields as _fields
 from .address import Address
 from .fields import (
     _U16,
@@ -178,6 +179,9 @@ class Message:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         keys = ", ".join(sorted(self._fields))
         return f"<Message [{keys}]>"
+
+
+_fields.Message = Message
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,18 @@
 """Property-based tests: codec round-trips (hypothesis)."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.msg import Address, Message
+from repro.errors import AddressError
+from repro.msg import (
+    ADDRESS_SIZE,
+    Address,
+    Message,
+    make_group_address,
+    make_process_address,
+)
+from repro.msg import address as address_module
 from repro.msg.fields import decode_have_vector, encode_have_vector
 from repro.net.packet import (
     FRAME_WIRE_HEADER_BYTES,
@@ -256,3 +265,100 @@ def test_addressed_frame_roundtrip_keeps_both_incarnations(frame):
     decoded, _ = decode_frame(buf)
     assert _same_frame(decoded, frame)
     assert (decoded.dst_epoch, decoded.blind) == (frame.dst_epoch, frame.blind)
+
+
+# -- Address against a plain-tuple reference -----------------------------
+# The dataclass ``Address`` compared, hashed and sorted as its field
+# tuple; the slot class must too, or seeded trajectories move.
+
+field_tuples = st.tuples(
+    st.integers(0, 0xFFFF),
+    st.integers(0, 0xFF),
+    st.integers(0, 0xFFFF),
+    st.integers(0, 0xFF),
+    st.booleans(),
+    st.booleans(),
+)
+
+#: (field index, an out-of-range value) for the four ranged fields.
+out_of_range = st.one_of(
+    st.tuples(st.just(0), st.one_of(st.integers(max_value=-1),
+                                    st.integers(min_value=0x10000))),
+    st.tuples(st.just(1), st.one_of(st.integers(max_value=-1),
+                                    st.integers(min_value=0x100))),
+    st.tuples(st.just(2), st.one_of(st.integers(max_value=-1),
+                                    st.integers(min_value=0x10000))),
+    st.tuples(st.just(3), st.one_of(st.integers(max_value=-1),
+                                    st.integers(min_value=0x100))),
+)
+
+
+@given(st.lists(field_tuples, min_size=1, max_size=12))
+@settings(max_examples=200)
+def test_address_orders_and_hashes_as_its_field_tuple(refs):
+    addrs = [Address(*ref) for ref in refs]
+    for addr, ref in zip(addrs, refs):
+        assert hash(addr) == hash(ref)
+        assert (addr.site, addr.incarnation, addr.local_id, addr.entry,
+                addr.is_group, addr.is_null) == ref
+    for a, ra in zip(addrs, refs):
+        for b, rb in zip(addrs, refs):
+            assert (a == b) == (ra == rb)
+            assert (a < b) == (ra < rb)
+            assert (a <= b) == (ra <= rb)
+    ranks = sorted(range(len(refs)), key=lambda i: (refs[i], i))
+    assert sorted(range(len(addrs)), key=lambda i: (addrs[i], i)) == ranks
+    # Set iteration order follows the hash, so it must match too.
+    assert [(a.site, a.incarnation, a.local_id, a.entry, a.is_group,
+             a.is_null) for a in set(addrs)] == list(set(refs))
+
+
+@given(field_tuples, st.integers(0, 0xFF))
+def test_address_is_immutable_and_derives_consistently(ref, entry):
+    addr = Address(*ref)
+    for name in ("site", "incarnation", "local_id", "entry", "is_group",
+                 "is_null"):
+        with pytest.raises(AttributeError):
+            setattr(addr, name, 0)
+    assert Address(*ref) == addr
+    moved = addr.with_entry(entry)
+    assert moved == Address(*ref[:3], entry, *ref[4:])
+    proc = addr.process()
+    assert proc == Address(*ref[:3], 0, *ref[4:])
+    assert proc.process() is proc
+    if ref[3] == 0:
+        assert proc is addr
+    assert addr.same_process(moved)
+
+
+@given(field_tuples, out_of_range)
+def test_address_rejects_out_of_range_fields(ref, bad):
+    index, value = bad
+    fields = list(ref)
+    fields[index] = value
+    with pytest.raises(AddressError):
+        Address(*fields)
+    if index == 3:
+        with pytest.raises(AddressError):
+            Address(*ref).with_entry(value)
+    if index != 1:
+        with pytest.raises(AddressError):
+            make_process_address(*fields[:4])
+    if index in (0, 2, 3):
+        with pytest.raises(AddressError):
+            make_group_address(fields[0], fields[2], fields[3])
+
+
+@given(field_tuples, st.integers(0, 16))
+def test_address_unpack_cache_is_transparent(ref, length):
+    addr = Address(*ref)
+    raw = addr.pack()
+    assert len(raw) == ADDRESS_SIZE
+    decoded = Address.unpack(raw)
+    assert decoded == addr and hash(decoded) == hash(addr)
+    assert Address.unpack(raw) == addr
+    if length != ADDRESS_SIZE:
+        # The 8-byte form is cached now; other lengths still fail.
+        with pytest.raises(AddressError):
+            Address.unpack((raw * 3)[:length])
+    assert len(address_module._UNPACKED) <= address_module.UNPACK_CACHE_SIZE

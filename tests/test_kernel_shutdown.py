@@ -17,7 +17,7 @@ SINK = 9
 
 
 def _armed_timers(sim):
-    return [t for t in sim._heap if not t.cancelled]
+    return [entry[2] for entry in sim._heap if not entry[2].cancelled]
 
 
 def _deploy_three(system):

@@ -81,3 +81,93 @@ def test_str_forms():
     assert "grp" in str(make_group_address(1, 2))
     assert "proc" in str(make_process_address(1, 0, 2))
     assert str(Address.null()) == "<null>"
+
+
+# -- the slot-class contract ---------------------------------------------
+# ``Address`` must behave exactly like the frozen dataclass it replaced:
+# protocol code iterates sets and dicts of addresses, so its hash, not
+# just its equality, decides which frame a seeded run sends first.
+
+
+def test_hash_is_the_field_tuple_hash():
+    addr = make_process_address(7, 3, 9, entry=17)
+    assert hash(addr) == hash((7, 3, 9, 17, False, False))
+    gid = make_group_address(2, 5)
+    assert hash(gid) == hash((2, 0, 5, 0, True, False))
+
+
+def test_positional_and_keyword_construction_agree():
+    assert Address(1, 2, 3, 4, True, False) == Address(
+        site=1, incarnation=2, local_id=3, entry=4, is_group=True)
+
+
+def test_attribute_assignment_raises():
+    addr = make_process_address(1, 0, 2)
+    with pytest.raises(AttributeError):
+        addr.site = 5
+    with pytest.raises(AttributeError):
+        addr.entry = 1
+    with pytest.raises(AttributeError):
+        del addr.local_id
+    assert addr == make_process_address(1, 0, 2)
+
+
+def test_comparisons_with_other_types_are_not_implemented():
+    addr = make_process_address(1, 0, 2)
+    fields = (1, 0, 2, 0, False, False)
+    assert addr != fields
+    assert addr.__eq__(fields) is NotImplemented
+    assert addr.__lt__(fields) is NotImplemented
+    with pytest.raises(TypeError):
+        _ = addr < fields
+
+
+def test_validation_runs_on_every_construction_path():
+    addr = make_process_address(1, 0, 2)
+    with pytest.raises(AddressError):
+        addr.with_entry(256)
+    with pytest.raises(AddressError):
+        addr.with_entry(-1)
+    with pytest.raises(AddressError):
+        make_process_address(1, 256, 2)
+    with pytest.raises(AddressError):
+        make_group_address(70000, 1)
+    with pytest.raises(AddressError):
+        Address(1, 0, 2, 0x100)
+
+
+def test_process_is_cached():
+    entry0 = make_process_address(4, 1, 8)
+    assert entry0.process() is entry0
+    entry5 = entry0.with_entry(5)
+    assert entry5.process() == entry0
+    assert entry5.process() is entry5.process()
+    assert entry5.process().entry == 0
+
+
+def test_pack_is_cached_and_unpack_reuses_decoded_addresses():
+    addr = make_group_address(3, 11, entry=2)
+    assert addr.pack() is addr.pack()
+    first = Address.unpack(addr.pack())
+    assert first == addr and hash(first) == hash(addr)
+    assert Address.unpack(bytes(addr.pack())) is first
+    assert Address.unpack(bytearray(addr.pack())) is first
+
+
+def test_unpack_rejects_wrong_length_even_when_prefix_is_cached():
+    raw = make_process_address(1, 0, 3).pack()
+    Address.unpack(raw)
+    with pytest.raises(AddressError):
+        Address.unpack(raw[:7])
+    with pytest.raises(AddressError):
+        Address.unpack(raw + b"\x00")
+
+
+def test_unpack_cache_stays_within_its_bound():
+    from repro.msg import address as address_mod
+
+    bound = address_mod.UNPACK_CACHE_SIZE
+    for n in range(bound + 100):
+        addr = make_process_address(n % 0x10000, 0, n // 0x10000 + 1)
+        assert Address.unpack(addr.pack()) == addr
+        assert len(address_mod._UNPACKED) <= bound

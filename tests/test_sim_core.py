@@ -213,3 +213,78 @@ class TestTimerHeapCompaction:
                 keep.append(i)
         sim.run()
         assert fired == keep
+
+
+class TestTupleHeap:
+    """The heap holds ``(time, seq, timer)`` entries: order is decided by
+    time, then by ``call_at`` order, and never by the timer object."""
+
+    def test_equal_time_events_run_in_call_at_order(self):
+        sim = Simulator()
+        seen = []
+        # Interleave two absolute times; schedule from inside callbacks
+        # too, so the sequence numbers do not follow the heap layout.
+        for i in range(50):
+            sim.call_at(2.0 if i % 3 else 1.0, seen.append, i)
+        sim.call_at(1.0, lambda: [sim.call_soon(seen.append, f"soon{j}")
+                                  for j in range(5)])
+        sim.run()
+        ones = [i for i in range(50) if i % 3 == 0]
+        twos = [i for i in range(50) if i % 3]
+        assert seen == ones + [f"soon{j}" for j in range(5)] + twos
+
+    def test_heap_entries_are_time_seq_timer_tuples(self):
+        sim = Simulator()
+        timers = [sim.call_at(1.0, lambda: None) for _ in range(3)]
+        entries = sorted(sim._heap)
+        assert [(t, s) for t, s, _timer in entries] == [(1.0, 0), (1.0, 1),
+                                                       (1.0, 2)]
+        assert [timer for _t, _s, timer in entries] == timers
+
+    def test_cancelled_entries_compact_past_half_dead(self):
+        sim = Simulator()
+        n = Simulator.COMPACT_MIN_HEAP * 2
+        timers = [sim.call_at(5.0, lambda: None) for _ in range(n)]
+        # Exactly half dead is not a majority: nothing is rebuilt yet.
+        for timer in timers[:n // 2]:
+            timer.cancel()
+        assert sim.stats()["timers.compactions"] == 0
+        assert len(sim._heap) == n
+        timers[n // 2].cancel()
+        assert sim.stats()["timers.compactions"] == 1
+        survivors = [timer for _t, _s, timer in sim._heap]
+        assert survivors and not any(t.cancelled for t in survivors)
+        assert sorted(t.seq for t in survivors) == list(range(n // 2 + 1, n))
+
+    def test_timer_stats_follow_a_scripted_run(self):
+        sim = Simulator()
+        fired = []
+        timers = [sim.call_at(1.0 + (i % 10) * 0.1, fired.append, i)
+                  for i in range(200)]
+        for timer in timers[::3]:
+            timer.cancel()
+        # 67 of 200 dead: no majority, no rebuild.
+        assert sim.stats() == {"timers.scheduled": 200,
+                               "timers.heap_size": 200,
+                               "timers.cancelled_pending": 67,
+                               "timers.compactions": 0}
+        sim.run(until=1.45)
+        # The 100 entries due by t=1.4 are gone, 33 of them dead.
+        assert sim.stats() == {"timers.scheduled": 200,
+                               "timers.heap_size": 100,
+                               "timers.cancelled_pending": 34,
+                               "timers.compactions": 0}
+        for timer in timers[1::3]:
+            timer.cancel()
+        # The 17th late cancel makes 51 of 100 dead: one rebuild to the
+        # 49 live entries; the last 16 cancels stay below the floor.
+        assert sim.stats() == {"timers.scheduled": 200,
+                               "timers.heap_size": 49,
+                               "timers.cancelled_pending": 16,
+                               "timers.compactions": 1}
+        sim.run()
+        assert sim.stats() == {"timers.scheduled": 200,
+                               "timers.heap_size": 0,
+                               "timers.cancelled_pending": 0,
+                               "timers.compactions": 1}
+        assert len(fired) == 100
